@@ -208,6 +208,8 @@ def _cmd_verify(args) -> int:
             for name in args.claims:
                 if any(p.group == "D" for p in CLAIMS[name]) and args.n < 2:
                     raise _die(f"claim {name!r} needs n >= 2")
+    if args.threads < 0:
+        raise _die(f"--threads must be >= 0 (0 means all cores), got {args.threads}")
     ns = (args.n,) if args.n is not None else None
     threads = args.threads if args.threads else (os.cpu_count() or 1)
     reports = []

@@ -1,13 +1,31 @@
 """
-Sign-reversing involutions on S_n and B_n built from canonical reduced
-words, the fixed-point generators, and the type-D pairing maps.
+Sign-reversing involutions on S_n and B_n, the fixed-point generators, and
+the type-D pairing maps.
 
-The type-A involution finds the smallest stage t whose factor has two or
-more letters and toggles the neighbouring stage-(t-1) factor between empty
-and its single-letter form; the resulting word is again canonical, one
-letter longer or shorter.  The type-B involution first looks for a
-near-maximal-length factor and toggles its two forms, falling back to the
-type-A move (with the toggled letter one index lower) when none exists.
+The involutions are defined on canonical reduced words (see
+``reduced_words``): toggling one letter of a canonical word multiplies the
+element by one reflection, so each map is computed by a single scan of the
+window that finds the toggled stage and swaps two values.  The scan rests
+on one fact: the stage-i factor of the canonical word has as many letters
+as there are inversions at one window position.
+
+Type A (1-based positions).  Let t+1 be the leftmost position whose entry
+has at least two larger entries to its left; if there is none, p is a fixed
+point.  Otherwise let a < b be the two largest of p_1..p_t.  The image is p
+with the values a and b swapped: the stage-(t-1) factor is toggled between
+empty and its single letter.
+
+Type B (0-based positions).  The stage-(i+1) factor has
+#{k<i : |s_k| > |s_i|} letters when s_i > 0, and i+1+#{k<i : |s_k| < |s_i|}
+when s_i < 0.  It is near-maximal, one of the two longest in its section,
+when i >= 1, s_i < 0 and |s_i| is among the two largest of |s_0..s_i|.  At
+the rightmost such i the two near-maximal forms are toggled: the two
+largest magnitudes of |s_0..s_i| swap places, each position keeping its
+sign.  With none, the fallback takes the first position d whose factor has
+two or more letters (a fixed point when there is none) and swaps the two
+largest magnitudes among |s_0..s_{d-1}| in the same way; d >= 2 here,
+since a negative s_1 is always near-maximal.
+
 Both maps preserve a drop statistic and flip the sign, so all non-fixed
 elements cancel out of signed enumerators.
 """
@@ -20,8 +38,7 @@ from typing import Iterator, Sequence
 
 from .perm_core import (Window, format_window, in_type_d, validate_permutation,
                         validate_signed)
-from .reduced_words import (CanonicalWord, canonical_word_a, canonical_word_b,
-                            evaluate_word, near_maximal_u, near_maximal_v)
+from .reduced_words import evaluate_word
 
 
 @dataclass(frozen=True)
@@ -46,18 +63,19 @@ class InvolutionReport:
         return json.dumps(self.to_json_dict())
 
 
-def _smallest_long_stage(word: CanonicalWord) -> int | None:
-    for i in range(1, word.top + 1):
-        if len(word.factor(i)) >= 2:
-            return i
+def _toggle_a(p: Window) -> tuple[int, int, int] | None:
+    # (toggled stage, positions of the two largest entries before the first
+    # entry with two larger entries to its left), or None at a fixed point
+    a = b = 0                                  # two largest so far, a < b
+    ia = ib = -1
+    for t, v in enumerate(p):
+        if v < a:
+            return t - 1, ia, ib
+        if v > b:
+            a, ia, b, ib = b, ib, v, t
+        elif v > a:
+            a, ia = v, t
     return None
-
-
-def _toggled_factors(word: CanonicalWord, stage: int, letter: int) -> tuple:
-    factors = list(word.factors)
-    idx = word.top - stage
-    factors[idx] = () if factors[idx] else (letter,)
-    return tuple(factors)
 
 
 def involution_a(p: Sequence[int]) -> InvolutionReport:
@@ -70,24 +88,15 @@ def involution_a(p: Sequence[int]) -> InvolutionReport:
     True
     """
     p = validate_permutation(p)
-    word = canonical_word_a(p)
-    t = _smallest_long_stage(word)
-    if t is None:
+    hit = _toggle_a(p)
+    if hit is None:
         return InvolutionReport(p, p, True)
-    d = t - 1
-    factors = _toggled_factors(word, d, d)
-    out = evaluate_word(tuple(k for f in factors for k in f), "A", word.n)
-    a, b = _transposition_values(word, d)
-    return InvolutionReport(p, out, False, changed_factor_index=d,
+    d, ia, ib = hit
+    a, b = p[ia], p[ib]
+    out = list(p)
+    out[ia], out[ib] = b, a
+    return InvolutionReport(p, tuple(out), False, changed_factor_index=d,
                             transposition=(a, b))
-
-
-def _transposition_values(word: CanonicalWord, d: int) -> tuple[int, int]:
-    # letters at positions d, d+1 of the intermediate element w_{d+1},
-    # the prefix product of the factors of stage > d
-    letters = tuple(k for f in word.factors[:word.top - d] for k in f)
-    w = evaluate_word(letters, word.kind, word.n)
-    return w[d - 1], w[d]
 
 
 def differing_transposition(p: Sequence[int]) -> tuple[int, int]:
@@ -100,11 +109,29 @@ def differing_transposition(p: Sequence[int]) -> tuple[int, int]:
     (4, 5)
     """
     p = validate_permutation(p)
-    word = canonical_word_a(p)
-    t = _smallest_long_stage(word)
-    if t is None:
+    hit = _toggle_a(p)
+    if hit is None:
         raise ValueError(f"{format_window(p)} is a fixed point; no transposition")
-    return _transposition_values(word, t - 1)
+    return p[hit[1]], p[hit[2]]
+
+
+def _toggle_b(s: Window) -> tuple[int, int, int] | None:
+    # (toggled stage, positions of the two magnitudes to swap), or None at a
+    # fixed point
+    a = b = 0                                  # two largest magnitudes so far
+    ia = ib = -1
+    near = fallback = None
+    for i, v in enumerate(s):
+        m = v if v > 0 else -v
+        if fallback is None and (m < a if v > 0 else i > 0):
+            fallback = i, ia, ib
+        if m > b:
+            a, ia, b, ib = b, ib, m, i
+        elif m > a:
+            a, ia = m, i
+        if v < 0 and i > 0 and (ia == i or ib == i):
+            near = i + 1, ia, ib
+    return near or fallback
 
 
 def involution_b(s: Sequence[int]) -> InvolutionReport:
@@ -118,22 +145,12 @@ def involution_b(s: Sequence[int]) -> InvolutionReport:
     (-5, 1, 6, 3, 4, -2)
     """
     s = validate_signed(s)
-    word = canonical_word_b(s)
-    n = word.n
-    for i in range(n, 1, -1):                      # leftmost = largest stage
-        f = word.factor(i)
-        u, v = near_maximal_u(i), near_maximal_v(i)
-        if f == u or f == v:
-            factors = list(word.factors)
-            factors[word.top - i] = v if f == u else u
-            out = evaluate_word(tuple(k for g in factors for k in g), "B", n)
-            return InvolutionReport(s, out, False, changed_factor_index=i)
-    t = _smallest_long_stage(word)
-    if t is None:
+    hit = _toggle_b(s)
+    if hit is None:
         return InvolutionReport(s, s, True)
-    factors = _toggled_factors(word, t - 1, t - 2)
-    out = evaluate_word(tuple(k for f in factors for k in f), "B", n)
-    return InvolutionReport(s, out, False, changed_factor_index=t - 1)
+    d, ia, ib = hit
+    return InvolutionReport(s, _swap_magnitudes(s, ia, ib), False,
+                            changed_factor_index=d)
 
 
 # ---------------------------------------------------------------------------
@@ -163,15 +180,11 @@ def fixed_points(kind: str, n: int) -> Iterator[Window]:
 
 
 def is_fixed_a(p: Sequence[int]) -> bool:
-    word = canonical_word_a(validate_permutation(p))
-    return all(len(f) <= 1 for f in word.factors)
+    return _toggle_a(validate_permutation(p)) is None
 
 
 def is_fixed_b(s: Sequence[int]) -> bool:
-    word = canonical_word_b(validate_signed(s))
-    # a near-maximal factor always has >= 2 letters, so this test covers both
-    # branches of the involution
-    return all(len(f) <= 1 for f in word.factors)
+    return _toggle_b(validate_signed(s)) is None
 
 
 # ---------------------------------------------------------------------------
@@ -185,12 +198,11 @@ def _top_positions(s: Sequence[int]) -> tuple[int, int]:
     return ia, ib
 
 
-def _swap_top_magnitudes(s: Sequence[int]) -> Window:
-    n = len(s)
-    ia, ib = _top_positions(s)
+def _swap_magnitudes(s: Sequence[int], i: int, j: int) -> Window:
+    # exchange |s_i| and |s_j|, each position keeping its sign
     out = list(s)
-    out[ia] = n if s[ia] > 0 else -n
-    out[ib] = (n - 1) if s[ib] > 0 else -(n - 1)
+    out[i] = abs(s[j]) if s[i] > 0 else -abs(s[j])
+    out[j] = abs(s[i]) if s[j] > 0 else -abs(s[i])
     return tuple(out)
 
 
@@ -211,7 +223,7 @@ def pair_map_bd(s: Sequence[int]) -> Window:
     if ia > ib:
         raise ValueError(
             f"{format_window(s)}: the letter +-{len(s) - 1} must occur left of +-{len(s)}")
-    return _swap_top_magnitudes(s)
+    return _swap_magnitudes(s, ia, ib)
 
 
 def pair_map_d(s: Sequence[int]) -> Window:

@@ -374,6 +374,14 @@ def rank(kind: str, window: Sequence[int]) -> int:
     n = len(window)
     check_group(kind, n)
     signed = kind in ("B", "D")
+    try:
+        window = validate_signed(window) if signed else validate_permutation(window)
+        if kind == "A" and inv(window) % 2:
+            raise ValueError("odd permutation")
+        if kind == "D" and not in_type_d(window):
+            raise ValueError("oddly many negative entries")
+    except ValueError as exc:
+        raise ValueError(f"{format_window(window)} is not in {kind}_{n}: {exc}") from None
     rem = list(range(1, n + 1))
     r = 0
     for k in range(_free_positions(kind, n)):

@@ -29,20 +29,6 @@ Letters = tuple[int, ...]
 # word evaluation
 # ---------------------------------------------------------------------------
 
-def apply_letter(window: Sequence[int], k: int, kind: str) -> Window:
-    """Right-multiply the window by the generator with index k."""
-    n = len(window)
-    lo = 0 if kind == "B" else 1
-    if not lo <= k <= n - 1:
-        raise ValueError(f"generator index {k} out of range for type {kind}, n={n}")
-    w = list(window)
-    if k == 0:
-        w[0] = -w[0]
-    else:
-        w[k - 1], w[k] = w[k], w[k - 1]
-    return tuple(w)
-
-
 def evaluate_word(letters: Sequence[int], kind: str, n: int) -> Window:
     """
     Apply the letters left to right to the identity.  No reducedness is

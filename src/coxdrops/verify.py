@@ -21,7 +21,8 @@ from typing import Callable, Iterator
 from . import genpoly as gp
 from . import perm_core as pc
 from .genpoly import MultiPoly, dep_inv_poly, jfraction_convergent
-from .involutions import fixed_points, involution_a, involution_b
+from .involutions import (fixed_points, involution_a, involution_b,
+                          is_fixed_a, is_fixed_b)
 from .laguerre import (fz_history, heights, max_height, motzkin_paths,
                        path_weight)
 from .perm_core import format_window, group_order, iter_group
@@ -76,16 +77,27 @@ def _chunk_worker(claim: str, kind: str, n: int, start: int, stop: int):
     return counter, bad, count
 
 
+def pool_size(threads: int, cpus: int | None) -> int:
+    """Worker processes for ``threads`` requested on ``cpus`` processors,
+    clamped to [1, cpus] so that a mistyped count cannot fork thousands."""
+    return max(1, min(threads, cpus or 1))
+
+
 def _sweep(claim: str, kind: str, n: int, threads: int):
     """Run a claim's sweep over the whole group, chunked when it pays off."""
     total = group_order(kind, n)
-    if threads <= 1 or total < _PARALLEL_CUTOFF:
+    workers = pool_size(threads, os.cpu_count())
+    if workers == 1 or total < _PARALLEL_CUTOFF:
         return _chunk_worker(claim, kind, n, 0, total)
-    from multiprocessing import get_context
-    pieces = min(threads * 4, 128)
+    import multiprocessing
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:                         # no fork on this platform
+        context = multiprocessing.get_context()
+    pieces = min(workers * 4, 128)
     bounds = [(total * i // pieces, total * (i + 1) // pieces)
               for i in range(pieces)]
-    with get_context("fork").Pool(threads) as pool:
+    with context.Pool(workers) as pool:
         parts = pool.starmap(
             _chunk_worker, [(claim, kind, n, a, b) for a, b in bounds])
     counter: Counter = Counter()
@@ -199,7 +211,7 @@ def _pred_invol_s(w):
 
 
 def _key_invol_fixed_s(w):
-    yield "fixed", (1 if involution_a(w).fixed else 0)
+    yield "fixed", (1 if is_fixed_a(w) else 0)
 
 
 def _pred_invol_b(s):
@@ -220,7 +232,7 @@ def _pred_invol_b(s):
 
 
 def _key_invol_fixed_b(s):
-    yield "fixed", (1 if involution_b(s).fixed else 0)
+    yield "fixed", (1 if is_fixed_b(s) else 0)
 
 
 _SWEEPS: dict[str, tuple[Callable | None, Callable | None]] = {

@@ -183,6 +183,12 @@ def test_out_of_range_n(capsys):
     assert code == 2
 
 
+def test_negative_threads_rejected(capsys):
+    with pytest.raises(SystemExit):
+        main(["verify", "thm-typeB", "--n", "2", "--threads", "-1"])
+    assert "--threads must be >= 0" in capsys.readouterr().err
+
+
 def test_module_entry_point():
     import subprocess
     import sys

@@ -2,12 +2,82 @@ import json
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxdrops import perm_core as pc
 from coxdrops.involutions import (InvolutionReport, differing_transposition,
                                   fixed_points, involution_a, involution_b,
-                                  pair_map_bd, pair_map_d)
-from coxdrops.reduced_words import canonical_word_a, ird_and_ascents
+                                  is_fixed_a, is_fixed_b, pair_map_bd,
+                                  pair_map_d)
+from coxdrops.reduced_words import (canonical_word_a, canonical_word_b,
+                                    evaluate_word, ird_and_ascents,
+                                    near_maximal_u, near_maximal_v)
+
+
+# ---------------------------------------------------------------------------
+# word-based oracle: the maps as the paper defines them, by toggling one
+# letter of the canonical reduced word and evaluating the toggled word
+# ---------------------------------------------------------------------------
+
+def _smallest_long_stage(word):
+    for i in range(1, word.top + 1):
+        if len(word.factor(i)) >= 2:
+            return i
+    return None
+
+
+def _evaluate_toggled(word, stage, letter):
+    # toggle the stage factor between empty and the single letter
+    factors = list(word.factors)
+    idx = word.top - stage
+    factors[idx] = () if factors[idx] else (letter,)
+    return evaluate_word(tuple(k for f in factors for k in f), word.kind, word.n)
+
+
+def oracle_transposition(p):
+    # letters at positions d, d+1 of the intermediate element w_{d+1}, the
+    # prefix product of the factors of stage > d
+    word = canonical_word_a(p)
+    t = _smallest_long_stage(word)
+    if t is None:
+        return None
+    d = t - 1
+    w = evaluate_word(tuple(k for f in word.factors[:word.top - d] for k in f),
+                      "A", word.n)
+    return w[d - 1], w[d]
+
+
+def oracle_a(p):
+    word = canonical_word_a(p)
+    t = _smallest_long_stage(word)
+    if t is None:
+        return InvolutionReport(p, p, True)
+    d = t - 1
+    return InvolutionReport(p, _evaluate_toggled(word, d, d), False,
+                            changed_factor_index=d,
+                            transposition=oracle_transposition(p))
+
+
+def oracle_b(s):
+    word = canonical_word_b(s)
+    for i in range(word.n, 1, -1):             # leftmost = largest stage
+        f = word.factor(i)
+        u, v = near_maximal_u(i), near_maximal_v(i)
+        if f == u or f == v:
+            factors = list(word.factors)
+            factors[word.top - i] = v if f == u else u
+            out = evaluate_word(tuple(k for g in factors for k in g), "B", word.n)
+            return InvolutionReport(s, out, False, changed_factor_index=i)
+    t = _smallest_long_stage(word)
+    if t is None:
+        return InvolutionReport(s, s, True)
+    return InvolutionReport(s, _evaluate_toggled(word, t - 1, t - 2), False,
+                            changed_factor_index=t - 1)
+
+
+def oracle_fixed(word):
+    return all(len(f) <= 1 for f in word.factors)
 
 
 # ---------------------------------------------------------------------------
@@ -62,6 +132,71 @@ def test_transposition_bounds_exhaustive_s4_s5(groups):
 
 
 # ---------------------------------------------------------------------------
+# window-level maps against the word-based oracle
+# ---------------------------------------------------------------------------
+
+@pytest.mark.slow
+def test_window_maps_equal_word_oracle_s8(groups):
+    for n in range(1, 9):
+        for w in groups["S"](n):
+            rep = involution_a(w)
+            assert rep == oracle_a(w)
+            assert is_fixed_a(w) == oracle_fixed(canonical_word_a(w)) == rep.fixed
+            if not rep.fixed:
+                assert differing_transposition(w) == oracle_transposition(w)
+
+
+@pytest.mark.slow
+def test_window_maps_equal_word_oracle_b6(groups):
+    for n in range(1, 7):
+        for s in groups["B"](n):
+            rep = involution_b(s)
+            assert rep == oracle_b(s)
+            assert is_fixed_b(s) == oracle_fixed(canonical_word_b(s)) == rep.fixed
+
+
+@given(st.integers(9, 12).flatmap(lambda n: st.permutations(range(1, n + 1))))
+@settings(max_examples=100)
+def test_involution_a_property_large_n(p):
+    p = tuple(p)
+    rep = involution_a(p)
+    assert rep == oracle_a(p)
+    if not rep.fixed:
+        y = rep.output
+        assert involution_a(y).output == p
+        assert (pc.inv(p) - pc.inv(y)) % 2 == 1
+        assert pc.drops(p) == pc.drops(y)
+
+
+@given(st.integers(9, 12).flatmap(
+    lambda n: st.tuples(st.permutations(range(1, n + 1)),
+                        st.lists(st.sampled_from((1, -1)), min_size=n,
+                                 max_size=n))))
+@settings(max_examples=100)
+def test_involution_b_property_large_n(perm_signs):
+    perm, signs = perm_signs
+    s = tuple(v * e for v, e in zip(perm, signs))
+    rep = involution_b(s)
+    assert rep == oracle_b(s)
+    if not rep.fixed:
+        y = rep.output
+        assert involution_b(y).output == s
+        assert (pc.inv_b(s) - pc.inv_b(y)) % 2 == 1
+        assert pc.drops_b(s) == pc.drops_b(y)
+
+
+def test_window_maps_validate_input():
+    for fn in (involution_a, is_fixed_a, differing_transposition):
+        with pytest.raises(ValueError):
+            fn((1, -2))
+        with pytest.raises(ValueError):
+            fn((1, 1))
+    for fn in (involution_b, is_fixed_b):
+        with pytest.raises(ValueError):
+            fn((2, -2))
+
+
+# ---------------------------------------------------------------------------
 # involution suites at module scale (full scale runs in acceptance)
 # ---------------------------------------------------------------------------
 
@@ -109,7 +244,6 @@ def test_involution_a_agrees_with_last_ascent_formulation(groups):
             return w
         j = ascents[-1]                        # 1-indexed
         new = letters[:j + 1] + (letters[j - 1],) + letters[j + 1:]
-        from coxdrops.reduced_words import evaluate_word
         return evaluate_word(new, "A", len(w))
 
     for n in range(1, 8):

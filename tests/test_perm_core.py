@@ -257,6 +257,18 @@ def test_rank_unrank_roundtrip():
             assert pc.unrank(kind, n, r) == w
 
 
+@pytest.mark.parametrize("kind, window, reason", [
+    ("A", (2, 1, 3), "A_3: odd permutation"),
+    ("D", (-1, 2, 3), "D_3: oddly many negative entries"),
+    ("A", (1, 1, 2), "A_3: position 2: absolute value 1 repeats"),
+    ("S", (-1, 2), "S_2: position 1: negative entry"),
+    ("B", (1, 3), "B_2: position 2: entry 3 out of range"),
+])
+def test_rank_rejects_windows_outside_the_group(kind, window, reason):
+    with pytest.raises(ValueError, match=reason):
+        pc.rank(kind, window)
+
+
 @given(st.sampled_from(["S", "A", "B", "D"]), st.integers(0, 10 ** 6))
 @settings(max_examples=60)
 def test_unrank_rank_random(kind, seed):

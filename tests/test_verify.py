@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from coxdrops.verify import CLAIMS, claim_names, run_claim, run_claims
+from coxdrops.verify import (CLAIMS, claim_names, pool_size, run_claim,
+                             run_claims)
 
 
 def test_registry_contents():
@@ -15,6 +16,49 @@ def test_registry_contents():
         for part in parts:
             assert part.group in ("S", "B", "D")
             assert part.description
+
+
+def test_pool_size_is_clamped_to_the_cpu_count():
+    assert pool_size(10_000, 2) == 2
+    assert pool_size(2, 2) == 2
+    assert pool_size(3, 8) == 3
+    assert pool_size(0, 8) == 1
+    assert pool_size(-5, 8) == 1
+    assert pool_size(4, None) == 1             # cpu count unknown
+
+
+def test_sweep_uses_the_default_context_without_fork(monkeypatch):
+    import itertools
+    import multiprocessing
+
+    from coxdrops import verify
+
+    class SerialPool:
+        def __init__(self, workers):
+            assert workers == 2
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def starmap(self, fn, jobs):
+            return list(itertools.starmap(fn, jobs))
+
+    class DefaultContext:
+        Pool = SerialPool
+
+    def get_context(method=None):
+        if method == "fork":
+            raise ValueError("cannot find context for 'fork'")
+        return DefaultContext
+
+    serial = verify._sweep("thm-typeD", "D", 4, threads=1)
+    monkeypatch.setattr(multiprocessing, "get_context", get_context)
+    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(verify, "_PARALLEL_CUTOFF", 0)
+    assert verify._sweep("thm-typeD", "D", 4, threads=2) == serial
 
 
 def test_unknown_claim():
