@@ -208,6 +208,12 @@ def _cmd_verify(args) -> int:
             for name in args.claims:
                 if any(p.group == "D" for p in CLAIMS[name]) and args.n < 2:
                     raise _die(f"claim {name!r} needs n >= 2")
+    elif args.max_n is not None:
+        # a selected claim, or every claim of an unfiltered run, must keep a size
+        empty = [name for name in names
+                 if all(args.max_n < min(p.default_ns) for p in CLAIMS[name])]
+        if empty and (args.claims or empty == names):
+            raise _die(f"--max-n {args.max_n} leaves claim {empty[0]!r} no size to run")
     if args.threads < 0:
         raise _die(f"--threads must be >= 0 (0 means all cores), got {args.threads}")
     ns = (args.n,) if args.n is not None else None

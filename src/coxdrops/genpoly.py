@@ -8,14 +8,13 @@ an exact equality of coefficient dictionaries, never a numeric comparison.
 
 from __future__ import annotations
 
-import itertools
 import json
 from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
 from . import perm_core as pc
-from .laguerre import STEPS_MOTZKIN, heights, is_valid_path, motzkin_paths
+from .laguerre import STEPS_MOTZKIN, heights, is_valid_path
 
 VARS = ("t", "p", "q", "x")
 Expo = tuple[int, int, int, int]
@@ -196,13 +195,15 @@ class MultiPoly:
         return f"MultiPoly({self.pretty()!r})"
 
 
-def poly_from_counter(counts: Counter, key_to_expo) -> MultiPoly:
-    """Build a polynomial from an accumulation Counter."""
+def poly_from_counter(counts: Counter) -> MultiPoly:
+    """
+    Build a polynomial from an accumulation Counter whose keys are signed
+    monomials (a, b, c, d, s), each standing for (-1)^s t^a p^b q^c x^d.
+    """
     out = MultiPoly()
-    for k, c in counts.items():
-        if c:
-            e = key_to_expo(k)
-            out.terms[e] = out.terms.get(e, 0) + c
+    for key, c in counts.items():
+        e = key[:4]
+        out.terms[e] = out.terms.get(e, 0) + (-c if key[4] else c)
     out.terms = {e: c for e, c in out.terms.items() if c}
     return out
 
@@ -222,6 +223,46 @@ def q_integer(k: int) -> MultiPoly:
 # ---------------------------------------------------------------------------
 # enumerators over full groups
 # ---------------------------------------------------------------------------
+#
+# Each enumerator is a perm_core.sweep with a key hook mapping an element to
+# its signed monomial (a, b, c, d, s); verify sweeps the same hooks.
+
+def trivariate_key(w: Sequence[int]) -> tuple[int, ...]:
+    """The signed monomial (-1)^inv t^exc p^depth q^drops of a permutation."""
+    return pc.exc(w), pc.depth(w), pc.drops(w), 0, pc.inv(w) % 2
+
+
+def drops_key_s(w: Sequence[int]) -> tuple[int, ...]:
+    """(-1)^inv q^drops."""
+    return 0, 0, pc.drops(w), 0, pc.inv(w) % 2
+
+
+def drops_key_b(s: Sequence[int]) -> tuple[int, ...]:
+    """(-1)^inv_b q^drops_b."""
+    return 0, 0, pc.drops_b(s), 0, pc.inv_b(s) % 2
+
+
+def drops_key_d(s: Sequence[int]) -> tuple[int, ...]:
+    """(-1)^inv_d q^drops_d."""
+    return 0, 0, pc.drops_d(s), 0, pc.inv_d(s) % 2
+
+
+def _unsigned_drops_key(w):
+    return 0, 0, pc.drops(w), 0, 0
+
+
+def _dep_inv_key(w):
+    return 0, 0, pc.inv(w), pc.depth(w), 0
+
+
+def _drops_mad_key(w):
+    return 0, 0, mad(w), pc.drops(w), 0
+
+
+def _enumerate(kind: str, n: int, key) -> MultiPoly:
+    # S_0 holds the empty window alone
+    return poly_from_counter(pc.sweep(kind, n, key) if n else Counter([key(())]))
+
 
 def signed_trivariate(n: int) -> MultiPoly:
     """
@@ -231,11 +272,7 @@ def signed_trivariate(n: int) -> MultiPoly:
     >>> signed_trivariate(2).pretty()
     '1 - t*p*q'
     """
-    counts: Counter = Counter()
-    for w in itertools.permutations(range(1, n + 1)):
-        sgn = -1 if pc.inv(w) % 2 else 1
-        counts[(pc.exc(w), pc.depth(w), pc.drops(w))] += sgn
-    return poly_from_counter(counts, lambda k: (k[0], k[1], k[2], 0))
+    return _enumerate("S", n, trivariate_key)
 
 
 def signed_drops(kind: str, n: int) -> MultiPoly:
@@ -245,31 +282,17 @@ def signed_drops(kind: str, n: int) -> MultiPoly:
     B_n, or (-1)^inv_d q^drops_d over D_n.  Equals (1-q)^(n-1), (1-q)^n and
     (1-q^3)(1-q)^(n-1) respectively.
     """
-    counts: Counter = Counter()
-    if kind == "S":
-        for w in itertools.permutations(range(1, n + 1)):
-            counts[pc.drops(w)] += -1 if pc.inv(w) % 2 else 1
-    elif kind == "B":
-        for s in pc.iter_group("B", n):
-            counts[pc.drops_b(s)] += -1 if pc.inv_b(s) % 2 else 1
-    elif kind == "D":
-        for s in pc.iter_group("D", n):
-            counts[pc.drops_d(s)] += -1 if pc.inv_d(s) % 2 else 1
-    else:
+    keys = {"S": drops_key_s, "B": drops_key_b, "D": drops_key_d}
+    if kind not in keys:
         raise ValueError("signed_drops kinds: 'S', 'B', 'D'")
-    return poly_from_counter(counts, lambda k: (0, 0, k, 0))
+    return _enumerate(kind, n, keys[kind])
 
 
 def drops_poly(kind: str, n: int) -> MultiPoly:
     """Unsigned drops enumerator over S_n or the even subgroup A_n."""
     if kind not in ("S", "A"):
         raise ValueError("drops_poly kinds: 'S', 'A'")
-    counts: Counter = Counter()
-    for w in itertools.permutations(range(1, n + 1)):
-        if kind == "A" and pc.inv(w) % 2:
-            continue
-        counts[pc.drops(w)] += 1
-    return poly_from_counter(counts, lambda k: (0, 0, k, 0))
+    return _enumerate(kind, n, _unsigned_drops_key)
 
 
 def dep_inv_poly(n: int) -> MultiPoly:
@@ -279,32 +302,7 @@ def dep_inv_poly(n: int) -> MultiPoly:
     >>> dep_inv_poly(3).pretty()
     '1 + 2*q*x + 2*q^2*x^2 + q^3*x^2'
     """
-    counts: Counter = Counter()
-    for w in itertools.permutations(range(1, n + 1)):
-        counts[(pc.depth(w), pc.inv(w))] += 1
-    return poly_from_counter(counts, lambda k: (0, 0, k[1], k[0]))
-
-
-def signed_exc_check(n: int) -> bool:
-    """signed_trivariate specialized at p = q = 1 equals (1 - t)^(n-1)."""
-    lhs = signed_trivariate(n).substitute(p=1, q=1)
-    rhs = (MultiPoly.one() - MultiPoly.term(1, t=1)) ** (n - 1)
-    return lhs == rhs
-
-
-def bivariate_identity_check(n: int) -> bool:
-    """
-    Whether sum q^depth t^exc  ==  sum q^drops t^des over S_n (always true).
-
-    >>> bivariate_identity_check(3)
-    True
-    """
-    a: Counter = Counter()
-    b: Counter = Counter()
-    for w in itertools.permutations(range(1, n + 1)):
-        a[(pc.depth(w), pc.exc(w))] += 1
-        b[(pc.drops(w), pc.des(w))] += 1
-    return a == b
+    return _enumerate("S", n, _dep_inv_key)
 
 
 # ---------------------------------------------------------------------------
@@ -415,8 +413,7 @@ def jfraction_convergent(order: int) -> TruncatedSeries:
         raise ValueError("order must be >= 0")
     tail = TruncatedSeries.one(order)
     for k in range(order, -1, -1):
-        den = TruncatedSeries.one(order)
-        den.coeffs[1] = den.coeffs[1] - _cfrac_c(k)
+        den = TruncatedSeries(order, [MultiPoly.one(), -_cfrac_c(k)])
         den = den - tail.scale_poly(_cfrac_b(k + 1)).shift(2)
         tail = den.inverse()
     return tail
@@ -472,10 +469,7 @@ def mad(p: Sequence[int]) -> int:
 
 def drops_mad_poly(n: int) -> MultiPoly:
     """Sum over S_n of x^drops q^mad; equidistributed with (depth, inv)."""
-    counts: Counter = Counter()
-    for w in itertools.permutations(range(1, n + 1)):
-        counts[(pc.drops(w), mad(w))] += 1
-    return poly_from_counter(counts, lambda k: (0, 0, k[1], k[0]))
+    return _enumerate("S", n, _drops_mad_key)
 
 
 # ---------------------------------------------------------------------------
@@ -503,14 +497,6 @@ def per_path_enumerator(steps: str) -> MultiPoly:
             f = q_integer(h) + q_integer(h + 1)
         out = out * (MultiPoly.term(1, x=h, q=h) * f)
     return out
-
-
-def per_path_identity_check(n: int) -> bool:
-    """Whether the per-path enumerators sum to the (depth, inv) enumerator."""
-    total = MultiPoly.zero()
-    for steps in motzkin_paths(n):
-        total = total + per_path_enumerator(steps)
-    return total == dep_inv_poly(n)
 
 
 # ---------------------------------------------------------------------------

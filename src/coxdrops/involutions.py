@@ -179,14 +179,6 @@ def fixed_points(kind: str, n: int) -> Iterator[Window]:
         yield evaluate_word(word, wordkind, n)
 
 
-def is_fixed_a(p: Sequence[int]) -> bool:
-    return _toggle_a(validate_permutation(p)) is None
-
-
-def is_fixed_b(s: Sequence[int]) -> bool:
-    return _toggle_b(validate_signed(s)) is None
-
-
 # ---------------------------------------------------------------------------
 # type-D pairing maps
 # ---------------------------------------------------------------------------

@@ -15,11 +15,13 @@ documentation; code indexes tuples the usual 0-based way.
 
 from __future__ import annotations
 
-import bisect
+import functools
 import itertools
 import math
+import os
+from collections import Counter
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 
 Window = tuple[int, ...]
 
@@ -271,8 +273,9 @@ def zdrops(s: Sequence[int]) -> int:
 #
 # Every group is enumerated in lexicographic window order (standard integer
 # order on entries).  Elements are addressed by rank in [0, order), so that
-# disjoint rank ranges can be consumed concurrently; ``iter_group`` resumes
-# mid-stream without generating the skipped prefix.
+# disjoint rank ranges can be consumed concurrently.  The digits of a rank
+# in the mixed radix of ``_place`` are a Lehmer code: digit k picks the
+# entry at position k among the unused choices, in ascending order.
 
 def check_group(kind: str, n: int) -> None:
     if kind not in GROUPS:
@@ -332,43 +335,6 @@ def _free_positions(kind: str, n: int) -> int:
     return n
 
 
-def _forced_tail(kind: str, rem: list[int], parity: int) -> list[int]:
-    if kind == "A":
-        # remaining two values in ascending order iff the Lehmer parity so far
-        # is even; one or zero values are forced as-is
-        if len(rem) == 2 and parity % 2 == 1:
-            return [rem[1], rem[0]]
-        return list(rem)
-    # kind == "D": one remaining value, sign forced to keep #negatives even
-    v = rem[0]
-    return [-v] if parity % 2 == 1 else [v]
-
-
-def unrank(kind: str, n: int, r: int) -> Window:
-    """Window at lexicographic rank r within the group."""
-    order = group_order(kind, n)
-    if not 0 <= r < order:
-        raise ValueError(f"rank {r} out of range [0, {order})")
-    signed = kind in ("B", "D")
-    rem = list(range(1, n + 1))
-    out: list[int] = []
-    parity = 0
-    for k in range(_free_positions(kind, n)):
-        place = _place(kind, n, k)
-        d, r = divmod(r, place)
-        opts = _choices(rem, signed)
-        v = opts[d]
-        if kind == "A":
-            parity += d
-        elif kind == "D" and v < 0:
-            parity += 1
-        out.append(v)
-        rem.remove(abs(v))
-    if kind in ("A", "D"):
-        out.extend(_forced_tail(kind, rem, parity))
-    return tuple(out)
-
-
 def rank(kind: str, window: Sequence[int]) -> int:
     """Lexicographic rank of the window within the group; inverse of unrank."""
     n = len(window)
@@ -392,12 +358,70 @@ def rank(kind: str, window: Sequence[int]) -> int:
     return r
 
 
+def unrank(kind: str, n: int, r: int) -> Window:
+    """Window at lexicographic rank r within the group."""
+    order = group_order(kind, n)
+    if not 0 <= r < order:
+        raise ValueError(f"rank {r} out of range [0, {order})")
+    return next(iter_group(kind, n, r, r + 1))
+
+
+def _prefix(kind: str, n: int, r: int, length: int) -> tuple[Window, list[int], int]:
+    # the first `length` entries of the element at rank r, the unused absolute
+    # values in ascending order, and the parity its suffix must have: the
+    # digit sum so far in A_n, the count of negative entries so far in D_n
+    signed = kind in ("B", "D")
+    rem = list(range(1, n + 1))
+    out = []
+    parity = 0
+    for k in range(length):
+        d, r = divmod(r, _place(kind, n, k))
+        v = _choices(rem, signed)[d]
+        parity ^= (d if kind == "A" else v < 0) & 1
+        out.append(v)
+        rem.remove(abs(v))
+    return tuple(out), rem, parity
+
+
+# Positions streamed per block: the most whose arrangements of the unused
+# choices number at most 2000 (6! = 720 unsigned, 8*7*6*5 = 1680 signed).
+# A signed block keeps 384 of its 1680 in B_n and 192 in D_n, a share that
+# falls as blocks grow.
+_SUFFIX = {"S": 6, "A": 6, "B": 4, "D": 4}
+
+
+@functools.cache
+def _suffix_masks(kind: str, m: int) -> tuple[bytes, bytes]:
+    # For each parity of the prefix, a compress() mask over the lexicographic
+    # m-arrangements of the sorted unused choices.  It keeps the arrangements
+    # with distinct absolute values (B_n and D_n draw from -v and v) and, in
+    # A_n and D_n, those whose parity makes the whole window even.
+    masks = (bytearray(), bytearray())
+    choices = _choices(list(range(1, m + 1)), kind in ("B", "D"))
+    for suffix in itertools.permutations(choices, m):
+        member = len({abs(v) for v in suffix}) == m
+        if kind == "A":
+            parity = inv(suffix) % 2
+        elif kind == "D":
+            parity = len(negs(suffix)) % 2
+        else:
+            parity = None                      # every prefix takes every suffix
+        for p, mask in enumerate(masks):
+            mask.append(member and parity in (None, p))
+    return bytes(masks[0]), bytes(masks[1])
+
+
 def iter_group(kind: str, n: int, start: int = 0,
                stop: int | None = None) -> Iterator[Window]:
     """
     Yield group elements in lexicographic order, restricted to the rank
     range [start, stop).  Concatenating disjoint ranges reproduces the full
     stream, which is how parallel consumers split the work.
+
+    The stream runs in blocks of elements that share all but the last few
+    positions.  Each block unranks its prefix once and takes its suffixes
+    from itertools.permutations over the unused values, so a range starts
+    without generating the ranks before it.
 
     >>> list(iter_group("S", 3, 2, 4))
     [(2, 1, 3), (2, 3, 1)]
@@ -408,50 +432,65 @@ def iter_group(kind: str, n: int, start: int = 0,
         raise ValueError(f"start rank {start} out of range [0, {order}]")
     if start >= stop:
         return
-    if kind == "S" and start == 0 and stop == order:
-        yield from itertools.permutations(range(1, n + 1))
-        return
-    yield from _iter_from(kind, n, start, stop - start)
+    m = min(n, _SUFFIX[kind])
+    masks = _suffix_masks(kind, m)
+    size = sum(masks[0])                       # elements per block
+    for base in range(start - start % size, stop, size):
+        prefix, rem, parity = _prefix(kind, n, base, n - m)
+        block = itertools.compress(
+            itertools.permutations(_choices(rem, kind in ("B", "D")), m), masks[parity])
+        if base < start or base + size > stop:
+            block = itertools.islice(block, max(start - base, 0), stop - base)
+        yield from map(prefix.__add__, block)
 
 
-def _iter_from(kind: str, n: int, start: int, count: int) -> Iterator[Window]:
-    signed = kind in ("B", "D")
-    free = _free_positions(kind, n)
-    # digit path of the start rank
-    digits = []
-    r = start
-    for k in range(free):
-        d, r = divmod(r, _place(kind, n, k))
-        digits.append(d)
+# ---------------------------------------------------------------------------
+# sweeps: one hook over a whole group, chunked and merged
+# ---------------------------------------------------------------------------
 
-    rem = list(range(1, n + 1))
-    out: list[int] = []
-    remaining = count
-
-    def walk(k: int, on_bound: bool, parity: int) -> Iterator[Window]:
-        nonlocal remaining
-        if remaining == 0:
-            return
-        if k == free:
-            tail = _forced_tail(kind, rem, parity) if kind in ("A", "D") else []
-            yield tuple(out) + tuple(tail)
-            remaining -= 1
-            return
-        opts = _choices(rem, signed)
-        lo = digits[k] if on_bound else 0
-        for d in range(lo, len(opts)):
-            v = opts[d]
-            out.append(v)
-            rem.remove(abs(v))
-            dp = parity + (d if kind == "A" else (1 if v < 0 else 0))
-            yield from walk(k + 1, on_bound and d == lo, dp)
-            rem.insert(_insert_at(rem, abs(v)), abs(v))
-            out.pop()
-            if remaining == 0:
-                return
-
-    yield from walk(0, True, 0)
+_PARALLEL_CUTOFF = 30_000
 
 
-def _insert_at(rem: list[int], v: int) -> int:
-    return bisect.bisect_left(rem, v)
+def pool_size(threads: int, cpus: int | None) -> int:
+    """Worker processes for ``threads`` requested on ``cpus`` processors,
+    clamped to [1, cpus] so that a mistyped count cannot fork thousands."""
+    return max(1, min(threads, cpus or 1))
+
+
+def sweep(kind: str, n: int, hook: Callable[[Window], Hashable],
+          threads: int = 1) -> Counter:
+    """
+    Count hook(w) over every element w of the group.
+
+    With ``threads`` > 1 and a large enough group, disjoint rank ranges are
+    counted in a process pool and merged in rank order, so the result never
+    depends on the worker count: even the order of the keys, which is the
+    rank order of the first element giving each.  The hook must be a
+    module-level function, since workers receive it pickled by name.
+
+    >>> dict(sweep("S", 3, des))
+    {0: 1, 1: 4, 2: 1}
+    """
+    total = group_order(kind, n)
+    workers = pool_size(threads, os.cpu_count())
+    if workers == 1 or total < _PARALLEL_CUTOFF:
+        return _count(kind, n, hook, 0, total)
+    import multiprocessing
+    try:
+        context = multiprocessing.get_context("fork")
+    except ValueError:                         # no fork on this platform
+        context = multiprocessing.get_context()
+    pieces = min(workers * 4, 128)
+    with context.Pool(workers) as pool:
+        parts = pool.starmap(_count, [
+            (kind, n, hook, total * i // pieces, total * (i + 1) // pieces)
+            for i in range(pieces)])
+    counter: Counter = Counter()
+    for part in parts:
+        counter.update(part)
+    return counter
+
+
+def _count(kind: str, n: int, hook: Callable[[Window], Hashable],
+           start: int, stop: int) -> Counter:
+    return Counter(map(hook, iter_group(kind, n, start, stop)))

@@ -2,9 +2,9 @@
 Batch verification suites: one claim per enumerative identity, each checked
 by exhaustive computation over the relevant group.
 
-Heavy sweeps are split into disjoint rank ranges and may be fanned out over
-a process pool; partial counters merge associatively, so the report content
-never depends on the worker count.
+Every sweep goes through perm_core.sweep, which splits heavy ones into
+disjoint rank ranges for a process pool and merges the partial counters in
+rank order, so the report content never depends on the worker count.
 """
 
 from __future__ import annotations
@@ -21,11 +21,10 @@ from typing import Callable, Iterator
 from . import genpoly as gp
 from . import perm_core as pc
 from .genpoly import MultiPoly, dep_inv_poly, jfraction_convergent
-from .involutions import (fixed_points, involution_a, involution_b,
-                          is_fixed_a, is_fixed_b)
+from .involutions import fixed_points, involution_a, involution_b
 from .laguerre import (fz_history, heights, max_height, motzkin_paths,
-                       path_weight)
-from .perm_core import format_window, group_order, iter_group
+                       motzkin_shape, path_weight)
+from .perm_core import format_window, group_order, sweep
 
 
 @dataclass
@@ -51,121 +50,41 @@ class VerificationReport:
 
 
 # ---------------------------------------------------------------------------
-# chunked sweeps
+# per-element hooks
 # ---------------------------------------------------------------------------
 #
-# A sweep visits every element of a group once, feeding two per-claim hooks:
-# a key function (accumulated into a Counter) and a predicate returning a
-# witness string for a violated element.  Both hooks live in a module-level
-# table so chunk workers are picklable.
+# Each claim sweeps its group with one hook (see perm_core.sweep).  A hook
+# that checks a property returns, in its key, None or a witness string for
+# an element that violates it; the first witness in the merged counter is
+# then the first violation in rank order.
 
-_PARALLEL_CUTOFF = 30_000
-
-
-def _chunk_worker(claim: str, kind: str, n: int, start: int, stop: int):
-    keyfn, predfn = _SWEEPS[claim]
-    counter: Counter = Counter()
-    bad = None
-    count = 0
-    for w in iter_group(kind, n, start, stop):
-        count += 1
-        if keyfn is not None:
-            for k, v in keyfn(w):
-                counter[k] += v
-        if predfn is not None and bad is None:
-            bad = predfn(w)
-    return counter, bad, count
+def _witness(keys) -> str | None:
+    return next((k for k in keys if k is not None), None)
 
 
-def pool_size(threads: int, cpus: int | None) -> int:
-    """Worker processes for ``threads`` requested on ``cpus`` processors,
-    clamped to [1, cpus] so that a mistyped count cannot fork thousands."""
-    return max(1, min(threads, cpus or 1))
+def _bivariate_key(w):
+    return pc.depth(w), pc.exc(w), pc.drops(w), pc.des(w)
 
 
-def _sweep(claim: str, kind: str, n: int, threads: int):
-    """Run a claim's sweep over the whole group, chunked when it pays off."""
-    total = group_order(kind, n)
-    workers = pool_size(threads, os.cpu_count())
-    if workers == 1 or total < _PARALLEL_CUTOFF:
-        return _chunk_worker(claim, kind, n, 0, total)
-    import multiprocessing
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:                         # no fork on this platform
-        context = multiprocessing.get_context()
-    pieces = min(workers * 4, 128)
-    bounds = [(total * i // pieces, total * (i + 1) // pieces)
-              for i in range(pieces)]
-    with context.Pool(workers) as pool:
-        parts = pool.starmap(
-            _chunk_worker, [(claim, kind, n, a, b) for a, b in bounds])
-    counter: Counter = Counter()
-    bad = None
-    count = 0
-    for c, b, k in parts:
-        counter.update(c)
-        if bad is None and b is not None:
-            bad = b
-        count += k
-    return counter, bad, count
-
-
-# -- per-element hooks -------------------------------------------------------
-
-def _key_trivariate(w):
-    yield (pc.exc(w), pc.depth(w), pc.drops(w)), (-1 if pc.inv(w) % 2 else 1)
-
-
-def _key_drops_s(w):
-    yield pc.drops(w), (-1 if pc.inv(w) % 2 else 1)
-
-
-def _key_drops_b(s):
-    yield pc.drops_b(s), (-1 if pc.inv_b(s) % 2 else 1)
-
-
-def _key_drops_d(s):
-    yield pc.drops_d(s), (-1 if pc.inv_d(s) % 2 else 1)
-
-
-def _key_zdrops(s):
+def _zdrops_key(s):
     # over all of B_n, split by D_n membership
-    yield (pc.in_type_d(s), pc.zdrops(s)), (-1 if pc.inv_d(s) % 2 else 1)
+    return pc.in_type_d(s), pc.zdrops(s), pc.inv_d(s) % 2
 
 
-def _key_bivariate(w):
-    yield ("de", pc.depth(w), pc.exc(w)), 1
-    yield ("dd", pc.drops(w), pc.des(w)), 1
+def _mad_key(w):
+    return pc.drops(w), gp.mad(w), pc.depth(w), pc.inv(w)
 
 
-def _key_mad(w):
-    yield ("dm", pc.drops(w), gp.mad(w)), 1
-    yield ("di", pc.depth(w), pc.inv(w)), 1
+def _mad_path_key(w):
+    return _mad_key(w) + (motzkin_shape(w),)
 
 
-def _key_mad_paths(w):
-    yield ("dm", pc.drops(w), gp.mad(w)), 1
-    yield ("di", pc.depth(w), pc.inv(w)), 1
+def _fz_key(w):
     h = fz_history(w)
-    yield ("path", h.shape, pc.depth(w), pc.inv(w)), 1
+    return _fz_witness(w, h), h.steps, h.labels
 
 
-def _key_shape_count(w):
-    yield fz_history(w).shape, 1
-
-
-def _key_moments(w):
-    yield (pc.inv(w) % 2, pc.drops(w)), 1
-
-
-def _key_history(w):
-    h = fz_history(w)
-    yield (h.steps, h.labels), 1
-
-
-def _pred_fz(w):
-    h = fz_history(w)
+def _fz_witness(w, h):
     if not h.is_valid():
         return f"{format_window(w)}: image is not a restricted history"
     ar = sum(heights(h.steps))
@@ -178,15 +97,19 @@ def _pred_fz(w):
     return None
 
 
-def _pred_shape(w):
+def _shape_witness(w):
     y = involution_a(w).output
     if fz_history(w).shape != fz_history(y).shape:
         return f"{format_window(w)}: shape changes under the involution"
     return None
 
 
-def _pred_invol_s(w):
+def _invol_key_s(w):
     rep = involution_a(w)
+    return _invol_witness_s(w, rep), rep.fixed
+
+
+def _invol_witness_s(w, rep):
     y = rep.output
     me = format_window(w)
     if rep.fixed:
@@ -210,12 +133,12 @@ def _pred_invol_s(w):
     return None
 
 
-def _key_invol_fixed_s(w):
-    yield "fixed", (1 if is_fixed_a(w) else 0)
-
-
-def _pred_invol_b(s):
+def _invol_key_b(s):
     rep = involution_b(s)
+    return _invol_witness_b(s, rep), rep.fixed
+
+
+def _invol_witness_b(s, rep):
     y = rep.output
     me = format_window(s)
     if rep.fixed:
@@ -231,28 +154,6 @@ def _pred_invol_b(s):
     return None
 
 
-def _key_invol_fixed_b(s):
-    yield "fixed", (1 if is_fixed_b(s) else 0)
-
-
-_SWEEPS: dict[str, tuple[Callable | None, Callable | None]] = {
-    "thm1.3": (_key_trivariate, None),
-    "cor1.4:univariate": (_key_drops_s, None),
-    "thm-typeB": (_key_drops_b, None),
-    "thm-typeD": (_key_drops_d, None),
-    "lemma7.2": (_key_zdrops, None),
-    "thm1.1": (_key_bivariate, None),
-    "mad": (_key_mad, None),
-    "mad:paths": (_key_mad_paths, None),
-    "weights": (_key_shape_count, None),
-    "shape": (None, _pred_shape),
-    "moments": (_key_moments, None),
-    "fz": (_key_history, _pred_fz),
-    "invol:S": (_key_invol_fixed_s, _pred_invol_s),
-    "invol:B": (_key_invol_fixed_b, _pred_invol_b),
-}
-
-
 # ---------------------------------------------------------------------------
 # expected polynomials
 # ---------------------------------------------------------------------------
@@ -265,32 +166,24 @@ def _one_minus(var: str, power: int, cube: bool = False) -> MultiPoly:
     return out
 
 
-def _counter_poly(counter: Counter, expo) -> MultiPoly:
-    return gp.poly_from_counter(counter, expo)
-
-
 # ---------------------------------------------------------------------------
-# claim runners: each returns (ok, witness, count)
+# claim runners: each returns a witness string on failure, None on success
 # ---------------------------------------------------------------------------
 
 def _run_thm13(n: int, threads: int):
-    counter, _, count = _sweep("thm1.3", "S", n, threads)
-    got = _counter_poly(counter, lambda k: (k[0], k[1], k[2], 0))
-    want = (MultiPoly.one() - MultiPoly.term(1, t=1, p=1, q=1)) ** (n - 1)
-    if got == want:
-        return True, None, count
-    return False, f"trivariate enumerator differs from (1-tpq)^{n - 1}", count
+    got = gp.poly_from_counter(sweep("S", n, gp.trivariate_key, threads))
+    if got != (MultiPoly.one() - MultiPoly.term(1, t=1, p=1, q=1)) ** (n - 1):
+        return f"trivariate enumerator differs from (1-tpq)^{n - 1}"
+    return None
 
 
 def _run_cor14(n: int, threads: int):
     if n >= 9:
-        counter, _, count = _sweep("cor1.4:univariate", "S", n, threads)
-        got = _counter_poly(counter, lambda k: (0, 0, k, 0))
-        if got == _one_minus("q", n - 1):
-            return True, None, count
-        return False, f"signed drops enumerator differs from (1-q)^{n - 1}", count
-    counter, _, count = _sweep("thm1.3", "S", n, threads)
-    tri = _counter_poly(counter, lambda k: (k[0], k[1], k[2], 0))
+        got = gp.poly_from_counter(sweep("S", n, gp.drops_key_s, threads))
+        if got != _one_minus("q", n - 1):
+            return f"signed drops enumerator differs from (1-q)^{n - 1}"
+        return None
+    tri = gp.poly_from_counter(sweep("S", n, gp.trivariate_key, threads))
     checks = [
         (tri.substitute(t=1, p=1), _one_minus("q", n - 1), "drops"),
         (tri.substitute(p=1, q=1), _one_minus("t", n - 1), "excedance"),
@@ -298,112 +191,103 @@ def _run_cor14(n: int, threads: int):
     ]
     for got, want, name in checks:
         if got != want:
-            return False, f"signed {name} specialization differs from the binomial form", count
-    return True, None, count
+            return f"signed {name} specialization differs from the binomial form"
+    return None
 
 
 def _run_typeb(n: int, threads: int):
-    counter, _, count = _sweep("thm-typeB", "B", n, threads)
-    got = _counter_poly(counter, lambda k: (0, 0, k, 0))
-    if got == _one_minus("q", n):
-        return True, None, count
-    return False, f"type-B signed drops enumerator differs from (1-q)^{n}", count
+    got = gp.poly_from_counter(sweep("B", n, gp.drops_key_b, threads))
+    if got != _one_minus("q", n):
+        return f"type-B signed drops enumerator differs from (1-q)^{n}"
+    return None
 
 
 def _run_typed(n: int, threads: int):
-    counter, _, count = _sweep("thm-typeD", "D", n, threads)
-    got = _counter_poly(counter, lambda k: (0, 0, k, 0))
-    if got == _one_minus("q", n - 1, cube=True):
-        return True, None, count
-    return False, f"type-D signed drops enumerator differs from (1-q^3)(1-q)^{n - 1}", count
+    got = gp.poly_from_counter(sweep("D", n, gp.drops_key_d, threads))
+    if got != _one_minus("q", n - 1, cube=True):
+        return f"type-D signed drops enumerator differs from (1-q^3)(1-q)^{n - 1}"
+    return None
 
 
 def _run_lemma72(n: int, threads: int):
-    counter, _, count = _sweep("lemma7.2", "B", n, threads)
-    bad_out = [k for (ind, k), v in counter.items() if not ind and v]
-    bad_in = [k for (ind, k), v in counter.items() if ind and v]
-    if not bad_out and not bad_in:
-        return True, None, count
-    side = "B_n - D_n" if bad_out else "D_n"
-    return False, f"signed zdrops sum over {side} does not vanish", count
+    sums: Counter = Counter()
+    for (in_d, z, odd), c in sweep("B", n, _zdrops_key, threads).items():
+        sums[in_d, z] += -c if odd else c
+    bad = [in_d for (in_d, _), v in sums.items() if v]
+    if not bad:
+        return None
+    side = "D_n" if all(bad) else "B_n - D_n"
+    return f"signed zdrops sum over {side} does not vanish"
 
 
 def _run_thm11(n: int, threads: int):
-    counter, _, count = _sweep("thm1.1", "S", n, threads)
-    de = {k[1:]: v for k, v in counter.items() if k[0] == "de"}
-    dd = {k[1:]: v for k, v in counter.items() if k[0] == "dd"}
+    de: Counter = Counter()
+    dd: Counter = Counter()
+    for (depth, exc, drops, des), c in sweep("S", n, _bivariate_key, threads).items():
+        de[depth, exc] += c
+        dd[drops, des] += c
     if de == dd:
-        return True, None, count
+        return None
     diff = next(iter(set(de.items()) ^ set(dd.items())))
-    return False, f"(depth, exc) vs (drops, des) multiset mismatch near {diff[0]}", count
+    return f"(depth, exc) vs (drops, des) multiset mismatch near {diff[0]}"
 
 
-def _run_cfrac(n: int, threads: int, _cache: dict = {}):
-    # one convergent serves the whole sweep; the cache key is the max order
-    order = _cache.get("order")
-    if order is None or order < n:
-        _cache["order"] = order = max(n, 8)
-        _cache["series"] = jfraction_convergent(order)
-    series = _cache["series"]
-    got = series.coefficient(n)
-    want = dep_inv_poly(n)
-    count = math.factorial(n)
-    if got == want:
-        return True, None, count
-    return False, f"t^{n} coefficient of the convergent differs from the enumerator", count
+def _run_cfrac(n: int, threads: int):
+    if jfraction_convergent(n).coefficient(n) != dep_inv_poly(n):
+        return f"t^{n} coefficient of the convergent differs from the enumerator"
+    return None
 
 
 def _run_mad(n: int, threads: int):
-    claim = "mad:paths" if n <= 7 else "mad"
-    counter, _, count = _sweep(claim, "S", n, threads)
-    dm = {k[1:]: v for k, v in counter.items() if k[0] == "dm"}
-    di = {k[1:]: v for k, v in counter.items() if k[0] == "di"}
+    paths = n <= 7
+    counter = sweep("S", n, _mad_path_key if paths else _mad_key, threads)
+    dm: Counter = Counter()
+    di: Counter = Counter()
+    per_path: dict[str, Counter] = {}
+    for key, c in counter.items():
+        drops, mad, depth, inv = key[:4]
+        dm[drops, mad] += c
+        di[depth, inv] += c
+        if paths:
+            per_path.setdefault(key[4], Counter())[0, 0, inv, depth, 0] += c
     # (drops, mad) pairs up with (depth, inv)
     if dm != di:
-        return False, "(drops, mad) is not equidistributed with (depth, inv)", count
-    if n <= 7:
-        per_path: dict[str, Counter] = {}
-        for k, v in counter.items():
-            if k[0] == "path":
-                per_path.setdefault(k[1], Counter())[(k[2], k[3])] = v
-        for steps in motzkin_paths(n):
-            got = _counter_poly(per_path.get(steps, Counter()),
-                                lambda k: (0, 0, k[1], k[0]))
-            if got != gp.per_path_enumerator(steps):
-                return False, f"per-path enumerator mismatch on {steps}", count
-    return True, None, count
+        return "(drops, mad) is not equidistributed with (depth, inv)"
+    for steps in motzkin_paths(n) if paths else ():
+        got = gp.poly_from_counter(per_path.get(steps, Counter()))
+        if got != gp.per_path_enumerator(steps):
+            return f"per-path enumerator mismatch on {steps}"
+    return None
 
 
 def _run_weights(n: int, threads: int):
-    counter, _, count = _sweep("weights", "S", n, threads)
+    counter = sweep("S", n, motzkin_shape, threads)
     paths = list(motzkin_paths(n))
     if sum(counter.values()) != math.factorial(n):
-        return False, "shape image total is not n!", count
+        return "shape image total is not n!"
     for steps in paths:
         if path_weight(steps) != counter.get(steps, 0):
-            return False, f"weight of {steps} != preimage count", count
+            return f"weight of {steps} != preimage count"
     low = [steps for steps in paths if max_height(steps) <= 1]
     if len(low) != 2 ** (n - 1):
-        return False, "height<=1 path count is not 2^(n-1)", count
+        return "height<=1 path count is not 2^(n-1)"
     fixed_shapes = {fz_history(w).shape for w in fixed_points("S", n)}
     if len(fixed_shapes) != 2 ** (n - 1) or fixed_shapes != set(low):
-        return False, "fixed points do not biject onto height<=1 paths", count
-    return True, None, count
+        return "fixed points do not biject onto height<=1 paths"
+    return None
 
 
 def _run_shape(n: int, threads: int):
-    _, bad, count = _sweep("shape", "S", n, threads)
-    return (bad is None), bad, count
+    return _witness(sweep("S", n, _shape_witness, threads))
 
 
 def _run_moments(n: int, threads: int):
-    counter, _, count = _sweep("moments", "S", n, threads)
-    full = Counter()
-    even = Counter()
-    for (par, d), v in counter.items():
-        full[d] += v
-        if par == 0:
-            even[d] += v
+    full: Counter = Counter()
+    even: Counter = Counter()
+    for (_, _, d, _, odd), c in sweep("S", n, gp.drops_key_s, threads).items():
+        full[d] += c
+        if not odd:
+            even[d] += c
 
     def mv(c: Counter):
         tot = sum(c.values())
@@ -413,23 +297,24 @@ def _run_moments(n: int, threads: int):
 
     mean_s, var_s = mv(full)
     if mean_s != Fraction(n * n - 1, 6):
-        return False, f"mean over S_{n} is {mean_s}, not (n^2-1)/6", count
+        return f"mean over S_{n} is {mean_s}, not (n^2-1)/6"
     if n >= 4:
         mean_a, var_a = mv(even)
         if (mean_a, var_a) != (mean_s, var_s):
-            return False, f"A_{n} moments differ from S_{n}", count
-    return True, None, count
+            return f"A_{n} moments differ from S_{n}"
+    return None
 
 
 def _run_fz(n: int, threads: int):
-    counter, bad, count = _sweep("fz", "S", n, threads)
+    counter = sweep("S", n, _fz_key, threads)
+    bad = _witness(k[0] for k in counter)
     if bad is not None:
-        return False, bad, count
+        return bad
     if len(counter) != math.factorial(n):
-        return False, "history map is not injective", count
+        return "history map is not injective"
     if _history_count(n) != math.factorial(n):
-        return False, "|LH*_n| != n!", count
-    return True, None, count
+        return "|LH*_n| != n!"
+    return None
 
 
 def _history_count(n: int) -> int:
@@ -446,23 +331,22 @@ def _history_count(n: int) -> int:
     return rec(0, 0)
 
 
-def _run_invol(n: int, threads: int, kind: str):
-    counter, bad, count = _sweep(f"invol:{kind}", "S" if kind == "S" else "B",
-                                 n, threads)
+def _check_invol(counter: Counter, want: int):
+    bad = _witness(k[0] for k in counter)
     if bad is not None:
-        return False, bad, count
-    want = 2 ** (n - 1) if kind == "S" else 2 ** n
-    if counter.get("fixed", 0) != want:
-        return False, f"fixed-point count {counter.get('fixed', 0)} != {want}", count
-    return True, None, count
+        return bad
+    fixed = sum(c for key, c in counter.items() if key[1])
+    if fixed != want:
+        return f"fixed-point count {fixed} != {want}"
+    return None
 
 
 def _run_invol_s(n: int, threads: int):
-    return _run_invol(n, threads, "S")
+    return _check_invol(sweep("S", n, _invol_key_s, threads), 2 ** (n - 1))
 
 
 def _run_invol_b(n: int, threads: int):
-    return _run_invol(n, threads, "B")
+    return _check_invol(sweep("B", n, _invol_key_b, threads), 2 ** n)
 
 
 # ---------------------------------------------------------------------------
@@ -537,11 +421,13 @@ def run_claim(name: str, ns: tuple[int, ...] | None = None, threads: int = 1,
             if part.group == "D" and n < 2:
                 continue
             t0 = time.perf_counter()
-            ok, witness, count = part.runner(n, threads)
+            witness = part.runner(n, threads)
             elapsed = (time.perf_counter() - t0) * 1000.0
+            # every runner sweeps its group once; cfrac at n = 0 counts S_0
+            count = group_order(part.group, n) if n else 1
             yield VerificationReport(
                 claim=name, group=part.group, n=n,
-                status="pass" if ok else "fail",
+                status="fail" if witness else "pass",
                 witness=witness, elapsed_ms=elapsed, count=count)
 
 

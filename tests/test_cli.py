@@ -108,6 +108,12 @@ def test_cfrac_verb(capsys):
     assert "t^3: 1 + 2*q*x + 2*q^2*x^2 + q^3*x^2" in out
 
 
+def test_cfrac_verb_order_zero(capsys):
+    code, out = run_cli(capsys, "cfrac", "--order", "0")
+    assert code == 0
+    assert out == "t^0: 1\n"
+
+
 def test_verify_single_claim(capsys):
     code, out = run_cli(capsys, "verify", "thm1.3", "--n", "5",
                         "--threads", "1", "--format", "json")
@@ -181,6 +187,14 @@ def test_out_of_range_n(capsys):
         main(["verify", "thm-typeD", "--n", "1"])
     code = main(["stats", "--group", "D", "--n", "1"])
     assert code == 2
+
+
+@pytest.mark.parametrize("claim, max_n", [("thm1.3", "-3"), ("thm-typeD", "1")])
+def test_verify_refuses_a_claim_left_without_sizes(capsys, claim, max_n):
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", claim, "--max-n", max_n])
+    assert exc.value.code == 2
+    assert repr(claim) in capsys.readouterr().err
 
 
 def test_negative_threads_rejected(capsys):

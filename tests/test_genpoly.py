@@ -10,11 +10,11 @@ from coxdrops import perm_core as pc
 from coxdrops.genpoly import (MultiPoly, TruncatedSeries, dep_inv_poly,
                               descent_blocks, drops_mad_poly, drops_moments,
                               drops_poly, jfraction_convergent, mad,
-                              per_path_enumerator, per_path_identity_check,
-                              poly_from_counter, q_integer, right_embracings,
-                              signed_drops, signed_trivariate,
-                              bivariate_identity_check)
+                              per_path_enumerator, poly_from_counter,
+                              q_integer, right_embracings, signed_drops,
+                              signed_trivariate)
 from coxdrops.laguerre import fz_history, motzkin_paths
+from coxdrops.verify import run_claim
 
 
 def one_minus(var, power):
@@ -118,8 +118,8 @@ def test_dep_inv_poly_small():
 
 
 def test_bivariate_identity_small():
-    for n in (1, 3, 5):
-        assert bivariate_identity_check(n)
+    # sum q^depth t^exc == sum q^drops t^des over S_n
+    assert all(r.ok for r in run_claim("thm1.1", ns=(1, 3, 5), threads=1))
 
 
 # ---------------------------------------------------------------------------
@@ -136,6 +136,10 @@ def test_jfraction_low_coefficients():
             + MultiPoly.term(2, x=2, q=2)
             + MultiPoly.term(1, x=2, q=3))
     assert t3 == want
+
+
+def test_jfraction_order_zero_is_one():
+    assert jfraction_convergent(0) == TruncatedSeries.one(0)
 
 
 def test_jfraction_matches_enumeration_to_6():
@@ -215,8 +219,9 @@ def test_per_path_examples():
 
 
 def test_per_path_sums_to_enumerator():
-    for n in range(1, 8):
-        assert per_path_identity_check(n)
+    # up to n = 7 the mad claim matches every per-path enumerator with the
+    # (depth, inv) enumerator of the permutations of that shape
+    assert all(r.ok for r in run_claim("mad", ns=tuple(range(1, 8)), threads=1))
 
 
 def test_per_path_matches_preimages(groups):
@@ -224,10 +229,9 @@ def test_per_path_matches_preimages(groups):
         agg = {}
         for w in groups["S"](n):
             key = fz_history(w).shape
-            agg.setdefault(key, Counter())[(pc.depth(w), pc.inv(w))] += 1
+            agg.setdefault(key, Counter())[0, 0, pc.inv(w), pc.depth(w), 0] += 1
         for steps in motzkin_paths(n):
-            want = poly_from_counter(agg.get(steps, Counter()),
-                                     lambda k: (0, 0, k[1], k[0]))
+            want = poly_from_counter(agg.get(steps, Counter()))
             assert per_path_enumerator(steps) == want
 
 

@@ -287,6 +287,79 @@ def test_range_partition_reassembles_stream():
         assert pieces == list(pc.iter_group(kind, n))
 
 
+def sorted_group(kind, n):
+    """Every window of the group in sorted() order, by brute force."""
+    perms = itertools.permutations(range(1, n + 1))
+    if kind in ("S", "A"):
+        windows = perms
+    else:
+        windows = (tuple(v * e for v, e in zip(p, signs)) for p in perms
+                   for signs in itertools.product((1, -1), repeat=n))
+    if kind == "A":
+        windows = (p for p in windows
+                   if sum(a > b for a, b in itertools.combinations(p, 2)) % 2 == 0)
+    if kind == "D":
+        windows = (s for s in windows if sum(v < 0 for v in s) % 2 == 0)
+    return sorted(windows)
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind, ns", [
+    ("S", range(1, 9)), ("A", range(1, 9)), ("B", range(1, 7)), ("D", range(2, 7)),
+])
+def test_iter_group_matches_sorted_oracle(kind, ns):
+    for n in ns:
+        oracle = sorted_group(kind, n)
+        order = len(oracle)
+        assert list(pc.iter_group(kind, n)) == oracle
+        if order <= 200:
+            ranges = itertools.combinations(range(order + 1), 2)
+        else:
+            # ragged cuts, and two-element ranges across every multiple of
+            # 24, which include all block boundaries of the stream
+            cuts = list(range(0, order, 97)) + [order]
+            ranges = [*itertools.pairwise(cuts),
+                      *((max(e - 1, 0), e + 1) for e in range(0, order, 24))]
+        for a, b in ranges:
+            assert list(pc.iter_group(kind, n, a, b)) == oracle[a:b]
+
+
+@st.composite
+def range_partitions(draw):
+    kind = draw(st.sampled_from(pc.GROUPS))
+    n = draw(st.integers(2 if kind == "D" else 1, 7))
+    order = pc.group_order(kind, n)
+    cuts = draw(st.lists(st.integers(0, order), max_size=12))
+    return kind, n, [0, *sorted(cuts), order]
+
+
+@given(range_partitions())
+@settings(max_examples=40, deadline=None)
+def test_any_range_partition_reproduces_the_stream(case):
+    kind, n, cuts = case
+    pieces = itertools.chain.from_iterable(
+        pc.iter_group(kind, n, a, b) for a, b in itertools.pairwise(cuts))
+    assert all(x == y for x, y in itertools.zip_longest(pieces, pc.iter_group(kind, n)))
+
+
+@st.composite
+def large_ranks(draw):
+    kind = draw(st.sampled_from(pc.GROUPS))
+    n = draw(st.integers(20, 60))
+    return kind, n, draw(st.integers(0, pc.group_order(kind, n) - 1))
+
+
+@given(large_ranks())
+@settings(max_examples=60, deadline=None)
+def test_rank_unrank_roundtrip_large_n(case):
+    kind, n, r = case
+    w = pc.unrank(kind, n, r)
+    assert sorted(map(abs, w)) == list(range(1, n + 1))
+    assert pc.rank(kind, w) == r
+    if r + 1 < pc.group_order(kind, n):
+        assert w < pc.unrank(kind, n, r + 1)
+
+
 def test_enumeration_errors():
     with pytest.raises(ValueError):
         pc.group_order("D", 1)

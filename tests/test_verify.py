@@ -1,9 +1,10 @@
 import json
+import math
 
 import pytest
 
-from coxdrops.verify import (CLAIMS, claim_names, pool_size, run_claim,
-                             run_claims)
+from coxdrops.perm_core import pool_size
+from coxdrops.verify import CLAIMS, claim_names, run_claim, run_claims
 
 
 def test_registry_contents():
@@ -31,7 +32,8 @@ def test_sweep_uses_the_default_context_without_fork(monkeypatch):
     import itertools
     import multiprocessing
 
-    from coxdrops import verify
+    from coxdrops import genpoly
+    from coxdrops import perm_core as pc
 
     class SerialPool:
         def __init__(self, workers):
@@ -54,11 +56,12 @@ def test_sweep_uses_the_default_context_without_fork(monkeypatch):
             raise ValueError("cannot find context for 'fork'")
         return DefaultContext
 
-    serial = verify._sweep("thm-typeD", "D", 4, threads=1)
+    serial = pc.sweep("D", 4, genpoly.drops_key_d, threads=1)
     monkeypatch.setattr(multiprocessing, "get_context", get_context)
-    monkeypatch.setattr(verify.os, "cpu_count", lambda: 2)
-    monkeypatch.setattr(verify, "_PARALLEL_CUTOFF", 0)
-    assert verify._sweep("thm-typeD", "D", 4, threads=2) == serial
+    monkeypatch.setattr(pc.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(pc, "_PARALLEL_CUTOFF", 0)
+    chunked = pc.sweep("D", 4, genpoly.drops_key_d, threads=2)
+    assert chunked == serial and list(chunked) == list(serial)
 
 
 def test_unknown_claim():
@@ -93,13 +96,13 @@ def test_run_claims_subset():
 def test_parallel_chunks_match_serial():
     serial = [r for r in run_claim("thm-typeB", ns=(5,), threads=1)]
     # force chunking by dropping the cutoff
-    import coxdrops.verify as v
-    old = v._PARALLEL_CUTOFF
-    v._PARALLEL_CUTOFF = 1
+    import coxdrops.perm_core as pc
+    old = pc._PARALLEL_CUTOFF
+    pc._PARALLEL_CUTOFF = 1
     try:
         parallel = [r for r in run_claim("thm-typeB", ns=(5,), threads=2)]
     finally:
-        v._PARALLEL_CUTOFF = old
+        pc._PARALLEL_CUTOFF = old
     strip = lambda rs: [(r.claim, r.group, r.n, r.status, r.witness, r.count)
                         for r in rs]
     assert strip(serial) == strip(parallel)
@@ -111,7 +114,14 @@ def test_failing_report_carries_witness(monkeypatch):
     def broken_pred(w):
         return f"{w}: say the shape changed"
 
-    monkeypatch.setitem(v._SWEEPS, "shape", (None, broken_pred))
+    monkeypatch.setattr(v, "_shape_witness", broken_pred)
     (report,) = run_claim("shape", ns=(3,), threads=1)
     assert report.status == "fail"
-    assert report.witness and "say the shape changed" in report.witness
+    # the witness is the first violation in rank order
+    assert report.witness == "(1, 2, 3): say the shape changed"
+
+
+def test_cfrac_reports_at_the_ends_of_its_range():
+    for n in (0, 9):
+        (report,) = run_claim("cfrac", ns=(n,), threads=1)
+        assert report.ok and report.count == math.factorial(n)
