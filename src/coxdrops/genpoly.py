@@ -14,6 +14,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import perm_core as pc
+from .additive import block_additive
 from .laguerre import STEPS_MOTZKIN, heights, is_valid_path
 
 VARS = ("t", "p", "q", "x")
@@ -225,32 +226,40 @@ def q_integer(k: int) -> MultiPoly:
 # ---------------------------------------------------------------------------
 #
 # Each enumerator is a perm_core.sweep with a key hook mapping an element to
-# its signed monomial (a, b, c, d, s); verify sweeps the same hooks.
+# its signed monomial (a, b, c, d, s); verify sweeps the same hooks.  Hooks
+# built from additive statistics are marked so that sweep counts them a
+# block at a time (see coxdrops.additive).
 
+@block_additive
 def trivariate_key(w: Sequence[int]) -> tuple[int, ...]:
     """The signed monomial (-1)^inv t^exc p^depth q^drops of a permutation."""
     return pc.exc(w), pc.depth(w), pc.drops(w), 0, pc.inv(w) % 2
 
 
+@block_additive
 def drops_key_s(w: Sequence[int]) -> tuple[int, ...]:
     """(-1)^inv q^drops."""
     return 0, 0, pc.drops(w), 0, pc.inv(w) % 2
 
 
+@block_additive
 def drops_key_b(s: Sequence[int]) -> tuple[int, ...]:
     """(-1)^inv_b q^drops_b."""
     return 0, 0, pc.drops_b(s), 0, pc.inv_b(s) % 2
 
 
+@block_additive
 def drops_key_d(s: Sequence[int]) -> tuple[int, ...]:
     """(-1)^inv_d q^drops_d."""
     return 0, 0, pc.drops_d(s), 0, pc.inv_d(s) % 2
 
 
+@block_additive
 def _unsigned_drops_key(w):
     return 0, 0, pc.drops(w), 0, 0
 
 
+@block_additive
 def _dep_inv_key(w):
     return 0, 0, pc.inv(w), pc.depth(w), 0
 
@@ -260,6 +269,10 @@ def _drops_mad_key(w):
 
 
 def _enumerate(kind: str, n: int, key) -> MultiPoly:
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    if kind == "D" and n < 2:
+        raise ValueError("D_n needs n >= 2")
     # S_0 holds the empty window alone
     return poly_from_counter(pc.sweep(kind, n, key) if n else Counter([key(())]))
 

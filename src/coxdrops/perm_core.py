@@ -18,6 +18,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import operator
 import os
 from collections import Counter
 from dataclasses import dataclass
@@ -122,8 +123,7 @@ def inverse(p: Sequence[int]) -> Window:
 
 def inv(p: Sequence[int]) -> int:
     """Number of pairs i < j with p_i > p_j."""
-    n = len(p)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if p[i] > p[j])
+    return sum(itertools.starmap(operator.gt, itertools.combinations(p, 2)))
 
 
 def desc_set(p: Sequence[int]) -> tuple[int, ...]:
@@ -212,8 +212,7 @@ def nsum(s: Sequence[int]) -> int:
 
 def inv_a(s: Sequence[int]) -> int:
     """Inversions of the signed window under the standard integer order."""
-    n = len(s)
-    return sum(1 for i in range(n) for j in range(i + 1, n) if s[i] > s[j])
+    return sum(itertools.starmap(operator.gt, itertools.combinations(s, 2)))
 
 
 def inv_b(s: Sequence[int]) -> int:
@@ -464,25 +463,34 @@ def sweep(kind: str, n: int, hook: Callable[[Window], Hashable],
 
     With ``threads`` > 1 and a large enough group, disjoint rank ranges are
     counted in a process pool and merged in rank order, so the result never
-    depends on the worker count: even the order of the keys, which is the
-    rank order of the first element giving each.  The hook must be a
-    module-level function, since workers receive it pickled by name.
+    depends on the worker count.  The hook must be a module-level function,
+    since workers receive it pickled by name.
+
+    A hook marked with :func:`coxdrops.additive.block_additive` carries the
+    block-table path (:func:`coxdrops.additive.count_blocks`): it is called
+    once per first suffix value of each block, and a cached table of key
+    differences supplies the rest of the block.  Any other hook is called
+    on every element; only then is the order of the keys the rank order of
+    the first element giving each, and so only such hooks return witnesses.
 
     >>> dict(sweep("S", 3, des))
     {0: 1, 1: 4, 2: 1}
     """
     total = group_order(kind, n)
+    count = getattr(hook, "sweep_count", _count)
     workers = pool_size(threads, os.cpu_count())
     if workers == 1 or total < _PARALLEL_CUTOFF:
-        return _count(kind, n, hook, 0, total)
+        return count(kind, n, hook, 0, total)
     import multiprocessing
     try:
         context = multiprocessing.get_context("fork")
     except ValueError:                         # no fork on this platform
         context = multiprocessing.get_context()
-    pieces = min(workers * 4, 128)
+    # a table-path piece builds the tables of nearly every unused set it
+    # meets, so it gets one piece per worker
+    pieces = min(workers * 4, 128) if count is _count else workers
     with context.Pool(workers) as pool:
-        parts = pool.starmap(_count, [
+        parts = pool.starmap(count, [
             (kind, n, hook, total * i // pieces, total * (i + 1) // pieces)
             for i in range(pieces)])
     counter: Counter = Counter()
@@ -493,4 +501,5 @@ def sweep(kind: str, n: int, hook: Callable[[Window], Hashable],
 
 def _count(kind: str, n: int, hook: Callable[[Window], Hashable],
            start: int, stop: int) -> Counter:
+    # element-wise: the oracle the block-table path is tested against
     return Counter(map(hook, iter_group(kind, n, start, stop)))

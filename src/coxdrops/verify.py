@@ -20,6 +20,7 @@ from typing import Callable, Iterator
 
 from . import genpoly as gp
 from . import perm_core as pc
+from .additive import block_additive
 from .genpoly import MultiPoly, dep_inv_poly, jfraction_convergent
 from .involutions import fixed_points, involution_a, involution_b
 from .laguerre import (fz_history, heights, max_height, motzkin_paths,
@@ -56,19 +57,25 @@ class VerificationReport:
 # Each claim sweeps its group with one hook (see perm_core.sweep).  A hook
 # that checks a property returns, in its key, None or a witness string for
 # an element that violates it; the first witness in the merged counter is
-# then the first violation in rank order.
+# then the first violation in rank order.  Such hooks stay element-wise: a
+# hook marked block-additive returns a signed monomial, and its counter's
+# keys come in no set order.
 
 def _witness(keys) -> str | None:
     return next((k for k in keys if k is not None), None)
 
 
+@block_additive
 def _bivariate_key(w):
-    return pc.depth(w), pc.exc(w), pc.drops(w), pc.des(w)
+    # t^exc p^depth q^drops x^des
+    return pc.exc(w), pc.depth(w), pc.drops(w), pc.des(w), 0
 
 
+@block_additive
 def _zdrops_key(s):
-    # over all of B_n, split by D_n membership
-    return pc.in_type_d(s), pc.zdrops(s), pc.inv_d(s) % 2
+    # (-1)^inv_d t^#negatives q^zdrops over all of B_n; an even count of
+    # negatives puts s in D_n
+    return len(pc.negs(s)), 0, pc.zdrops(s), 0, pc.inv_d(s) % 2
 
 
 def _mad_key(w):
@@ -211,8 +218,8 @@ def _run_typed(n: int, threads: int):
 
 def _run_lemma72(n: int, threads: int):
     sums: Counter = Counter()
-    for (in_d, z, odd), c in sweep("B", n, _zdrops_key, threads).items():
-        sums[in_d, z] += -c if odd else c
+    for (negatives, _, z, _, odd), c in sweep("B", n, _zdrops_key, threads).items():
+        sums[negatives % 2 == 0, z] += -c if odd else c
     bad = [in_d for (in_d, _), v in sums.items() if v]
     if not bad:
         return None
@@ -223,7 +230,7 @@ def _run_lemma72(n: int, threads: int):
 def _run_thm11(n: int, threads: int):
     de: Counter = Counter()
     dd: Counter = Counter()
-    for (depth, exc, drops, des), c in sweep("S", n, _bivariate_key, threads).items():
+    for (exc, depth, drops, des, _), c in sweep("S", n, _bivariate_key, threads).items():
         de[depth, exc] += c
         dd[drops, des] += c
     if de == dd:

@@ -189,6 +189,15 @@ def test_out_of_range_n(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["--which", "trivariate", "--n", "-1"], "n must be >= 0"),
+    (["--which", "signed-drops", "--group", "D", "--n", "0"], "D_n needs n >= 2"),
+])
+def test_poly_refuses_sizes_out_of_range(capsys, argv, message):
+    assert main(["poly", *argv]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("claim, max_n", [("thm1.3", "-3"), ("thm-typeD", "1")])
 def test_verify_refuses_a_claim_left_without_sizes(capsys, claim, max_n):
     with pytest.raises(SystemExit) as exc:

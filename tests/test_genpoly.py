@@ -110,6 +110,26 @@ def test_signed_drops_small():
         signed_drops("A", 3)
 
 
+@pytest.mark.parametrize("enumerate_, args, message", [
+    (signed_drops, ("D", 0), "D_n needs n >= 2"),
+    (signed_drops, ("D", 1), "D_n needs n >= 2"),
+    (signed_drops, ("D", -1), "n must be >= 0"),
+    (signed_drops, ("B", -1), "n must be >= 0"),
+    (signed_trivariate, (-1,), "n must be >= 0"),
+    (drops_poly, ("A", -2), "n must be >= 0"),
+    (dep_inv_poly, (-1,), "n must be >= 0"),
+])
+def test_enumerators_refuse_sizes_out_of_range(enumerate_, args, message):
+    with pytest.raises(ValueError) as exc:
+        enumerate_(*args)
+    assert str(exc.value) == message
+
+
+def test_enumerators_accept_n_zero():
+    for poly in (signed_trivariate(0), signed_drops("B", 0), drops_poly("A", 0)):
+        assert poly == MultiPoly.one()
+
+
 def test_dep_inv_poly_small():
     assert dep_inv_poly(0) == MultiPoly.one()
     assert dep_inv_poly(1) == MultiPoly.one()

@@ -170,6 +170,43 @@ def test_parse_format_roundtrip(lst):
     assert pc.parse_window(pc.format_window(w)) == w
 
 
+@st.composite
+def signed_windows(draw, max_n=12):
+    n = draw(st.integers(1, max_n))
+    values = draw(st.permutations(list(range(1, n + 1))))
+    signs = draw(st.lists(st.sampled_from((1, -1)), min_size=n, max_size=n))
+    return tuple(v * e for v, e in zip(values, signs))
+
+
+def _is_integer(text):
+    try:
+        int(text)
+    except ValueError:
+        return False
+    return True
+
+
+@given(signed_windows())
+def test_parse_format_roundtrip_signed(w):
+    assert pc.parse_window(pc.format_window(w)) == w
+
+
+@given(signed_windows(), st.data())
+def test_corrupted_token_is_reported_at_its_position(w, data):
+    n = len(w)
+    k = data.draw(st.integers(0, n - 1), label="position")
+    bad = data.draw(st.one_of(
+        st.text(max_size=4).filter(lambda t: "," not in t and not _is_integer(t)),
+        st.sampled_from(["0", "-0", "+0"]),
+        st.integers(n + 1, 10 ** 6).map(str),
+        st.integers(n + 1, 10 ** 6).map(lambda v: str(-v)),
+    ), label="token")
+    tokens = pc.format_window(w).split(",")
+    tokens[k] = bad
+    with pytest.raises(ValueError, match=rf"^position {k + 1}: "):
+        pc.parse_window(",".join(tokens))
+
+
 # ---------------------------------------------------------------------------
 # invariants
 # ---------------------------------------------------------------------------

@@ -1,0 +1,95 @@
+"""
+The block-table path of perm_core.sweep against the element-wise count.
+
+Every hook marked with additive.block_additive in genpoly and verify is
+found by its mark, so a hook marked later is covered with no change here.
+A mark promises the table invariant in every group, so each marked hook is
+checked on S, A, B and D alike.
+"""
+
+import pytest
+
+from coxdrops import additive, genpoly, verify
+from coxdrops import perm_core as pc
+
+GROUPS = ([("S", n) for n in range(1, 9)] + [("A", n) for n in range(1, 9)]
+          + [("B", n) for n in range(1, 7)] + [("D", n) for n in range(2, 7)])
+# groups of many table blocks each
+RAGGED = (("S", 7), ("A", 7), ("B", 5), ("D", 6))
+
+MARKED = {f.__name__: f for module in (genpoly, verify)
+          for f in vars(module).values()
+          if getattr(f, "sweep_count", None) is additive.count_blocks}
+
+
+def outcome(count, kind, n, hook, start, stop):
+    try:
+        return count(kind, n, hook, start, stop)
+    except ValueError as exc:                  # drops_d needs n >= 2
+        return str(exc)
+
+
+def mismatches(hook, groups):
+    """The groups on which the table path and the element-wise count differ."""
+    bad = []
+    for kind, n in groups:
+        order = pc.group_order(kind, n)
+        if (outcome(additive.count_blocks, kind, n, hook, 0, order)
+                != outcome(pc._count, kind, n, hook, 0, order)):
+            bad.append((kind, n))
+    return bad
+
+
+def _drops_mad_key(w):
+    return genpoly._drops_mad_key(w)
+
+
+def test_the_additive_hooks_are_marked():
+    assert set(MARKED) >= {
+        "trivariate_key", "drops_key_s", "drops_key_b", "drops_key_d",
+        "_unsigned_drops_key", "_dep_inv_key", "_bivariate_key", "_zdrops_key"}
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("name", sorted(MARKED))
+def test_table_path_equals_the_element_wise_count(name):
+    assert mismatches(MARKED[name], GROUPS) == []
+
+
+def test_a_wrong_mark_is_caught():
+    # mad counts embracing descent runs, which can reach from the prefix
+    # into the suffix; over B_n and D_n that makes its differences depend on
+    # the prefix
+    hook = additive.block_additive(_drops_mad_key)
+    assert mismatches(hook, [("B", 5), ("D", 5)]) == [("B", 5), ("D", 5)]
+
+
+@pytest.mark.parametrize("name", sorted(MARKED))
+def test_ragged_ranges_cut_blocks(name):
+    hook = MARKED[name]
+    for kind, n in RAGGED:
+        order = pc.group_order(kind, n)
+        size = pc._place(kind, n, n - min(additive._TABLE_SUFFIX[kind], n - 2) - 1)
+        ranges = ((1, order - 1), (size - 1, size + 3), (size + 3, 3 * size - 2),
+                  (order // 3 + 7, order - size - 1))
+        for start, stop in ranges:
+            assert (additive.count_blocks(kind, n, hook, start, stop)
+                    == pc._count(kind, n, hook, start, stop)), (kind, n, start, stop)
+
+
+def test_parallel_chunks_match_the_element_wise_count(monkeypatch):
+    monkeypatch.setattr(pc.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(pc, "_PARALLEL_CUTOFF", 0)
+    for name, hook in sorted(MARKED.items()):
+        for kind, n in RAGGED:
+            order = pc.group_order(kind, n)
+            assert pc.sweep(kind, n, hook, threads=2) == pc._count(kind, n, hook, 0, order)
+
+
+def test_keys_out_of_range_are_refused():
+    @additive.block_additive
+    def negative(w):
+        return -1, 0, 0, 0, 0
+
+    with pytest.raises(ValueError, match="not a signed monomial key"):
+        pc.sweep("S", 5, negative)

@@ -56,12 +56,15 @@ def test_sweep_uses_the_default_context_without_fork(monkeypatch):
             raise ValueError("cannot find context for 'fork'")
         return DefaultContext
 
-    serial = pc.sweep("D", 4, genpoly.drops_key_d, threads=1)
+    # an unmarked hook is counted element-wise, in rank order of first keys
+    serial = pc.sweep("D", 4, pc.drops_d, threads=1)
+    marked = pc.sweep("D", 4, genpoly.drops_key_d, threads=1)
     monkeypatch.setattr(multiprocessing, "get_context", get_context)
     monkeypatch.setattr(pc.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(pc, "_PARALLEL_CUTOFF", 0)
-    chunked = pc.sweep("D", 4, genpoly.drops_key_d, threads=2)
+    chunked = pc.sweep("D", 4, pc.drops_d, threads=2)
     assert chunked == serial and list(chunked) == list(serial)
+    assert pc.sweep("D", 4, genpoly.drops_key_d, threads=2) == marked
 
 
 def test_unknown_claim():
@@ -119,6 +122,12 @@ def test_failing_report_carries_witness(monkeypatch):
     assert report.status == "fail"
     # the witness is the first violation in rank order
     assert report.witness == "(1, 2, 3): say the shape changed"
+
+
+@pytest.mark.slow
+def test_type_b_at_n8_passes():
+    (report,) = run_claim("thm-typeB", ns=(8,))
+    assert report.ok and report.count == 10_321_920
 
 
 def test_cfrac_reports_at_the_ends_of_its_range():
