@@ -443,6 +443,8 @@ def descent_blocks(p: Sequence[int]) -> list[tuple[int, ...]]:
     >>> descent_blocks((2, 3, 1))
     [(2,), (3, 1)]
     """
+    if not p:
+        return []
     blocks: list[tuple[int, ...]] = []
     cur = [p[0]]
     for v in p[1:]:
@@ -477,7 +479,28 @@ def mad(p: Sequence[int]) -> int:
     >>> mad((2, 3, 1))
     3
     """
-    return pc.drops(p) + sum(right_embracings(p))
+    # One right-to-left scan over the descent blocks; a block's drops
+    # telescope to first - last.  `inside` holds a bitmask per block of two
+    # or more letters to the right: the values it embraces.  Value v is bit
+    # v + n, so that signed windows work too.
+    n = len(p)
+    total = 0
+    inside: list[int] = []
+    block = 0                                  # values of the current block
+    last = p[-1] if p else 0
+    for k in range(n - 1, -1, -1):
+        v = p[k]
+        block |= 1 << v + n
+        if k and p[k - 1] > v:
+            continue                           # the block goes on leftwards
+        for m in inside:
+            total += (block & m).bit_count()
+        if v > last:
+            total += v - last
+            inside.append((1 << v + n) - (2 << last + n))
+        block = 0
+        last = p[k - 1]
+    return total
 
 
 def drops_mad_poly(n: int) -> MultiPoly:

@@ -92,11 +92,8 @@ def involution_a(p: Sequence[int]) -> InvolutionReport:
     if hit is None:
         return InvolutionReport(p, p, True)
     d, ia, ib = hit
-    a, b = p[ia], p[ib]
-    out = list(p)
-    out[ia], out[ib] = b, a
-    return InvolutionReport(p, tuple(out), False, changed_factor_index=d,
-                            transposition=(a, b))
+    return InvolutionReport(p, _swap_positions(p, ia, ib), False,
+                            changed_factor_index=d, transposition=(p[ia], p[ib]))
 
 
 def differing_transposition(p: Sequence[int]) -> tuple[int, int]:
@@ -173,10 +170,11 @@ def fixed_points(kind: str, n: int) -> Iterator[Window]:
         lo, wordkind = 0, "B"
     else:
         raise ValueError("fixed_points supports kinds 'S' and 'B'")
+    if n < 0:
+        raise ValueError("n must be >= 0")
     gens = range(n - 1, lo - 1, -1)
-    for mask in range(1 << (n - lo)):
-        word = tuple(k for k in gens if mask >> (k - lo) & 1)
-        yield evaluate_word(word, wordkind, n)
+    return (evaluate_word(tuple(k for k in gens if mask >> (k - lo) & 1), wordkind, n)
+            for mask in range(1 << max(n - lo, 0)))
 
 
 # ---------------------------------------------------------------------------
@@ -188,6 +186,12 @@ def _top_positions(s: Sequence[int]) -> tuple[int, int]:
     ia = next(i for i, x in enumerate(s) if abs(x) == n - 1)
     ib = next(i for i, x in enumerate(s) if abs(x) == n)
     return ia, ib
+
+
+def _swap_positions(p: Sequence[int], i: int, j: int) -> Window:
+    out = list(p)
+    out[i], out[j] = p[j], p[i]
+    return tuple(out)
 
 
 def _swap_magnitudes(s: Sequence[int], i: int, j: int) -> Window:

@@ -19,7 +19,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .perm_core import inverse, validate_permutation
+from .perm_core import Window, inverse, validate_permutation
 
 STEPS_2MOTZKIN = "NSED"
 STEPS_MOTZKIN = "NSE"
@@ -89,15 +89,17 @@ def max_height(steps: str) -> int:
 
 def motzkin_paths(n: int) -> Iterator[str]:
     """All Motzkin paths of length n (alphabet N S E)."""
-    yield from _paths(n, STEPS_MOTZKIN)
+    return _paths(n, STEPS_MOTZKIN)
 
 
 def two_motzkin_paths(n: int) -> Iterator[str]:
     """All 2-Motzkin paths of length n (alphabet N S E D)."""
-    yield from _paths(n, STEPS_2MOTZKIN)
+    return _paths(n, STEPS_2MOTZKIN)
 
 
 def _paths(n: int, alphabet: str) -> Iterator[str]:
+    if n < 0:
+        raise ValueError("n must be >= 0")
     acc: list[str] = []
 
     def rec(k: int, h: int) -> Iterator[str]:
@@ -113,7 +115,7 @@ def _paths(n: int, alphabet: str) -> Iterator[str]:
             yield from rec(k + 1, h + (s == "N") - (s == "S"))
             acc.pop()
 
-    yield from rec(0, 0)
+    return rec(0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -206,9 +208,6 @@ def nest(p: Sequence[int]) -> int:
     return sum(nest_at(p, i) for i in range(1, len(p) + 1))
 
 
-_STEP_OF = {"CVal": "N", "CPk": "S", "Cda": "E", "Fix": "E", "Cdd": "D"}
-
-
 def fz_history(p: Sequence[int]) -> LaguerreHistory:
     """
     The Foata-Zeilberger encoding: step i is determined by the cyclic class
@@ -219,22 +218,24 @@ def fz_history(p: Sequence[int]) -> LaguerreHistory:
     >>> fz_history((2, 1))
     LaguerreHistory(steps='NS', labels=(0, 0))
     """
-    p = validate_permutation(p)
-    inv_p = inverse(p)
+    return _history(validate_permutation(p))
+
+
+def _history(p: Window) -> LaguerreHistory:
+    # One pass with a bitmask of the values placed so far.  Value i sits
+    # left of position i (p^{-1}(i) < i) when its bit is set, and `left`
+    # counts the larger values to the left of p_i.  By the definition of
+    # nest_at, the label at an excedance is `left`, and elsewhere it is the
+    # count of smaller values to the right, (p_i - 1) - (i - 1 - left).
+    seen = 0
     steps = []
     labels = []
-    for i in range(1, len(p) + 1):
-        fwd = p[i - 1]
-        back = inv_p[i - 1]
-        if fwd == i or (back < i < fwd):
-            steps.append("E")
-        elif back > i and fwd > i:
-            steps.append("N")
-        elif back < i and fwd < i:
-            steps.append("S")
-        else:
-            steps.append("D")
-        labels.append(nest_at(p, i))
+    for i, v in enumerate(p, 1):
+        left = (seen >> v).bit_count()
+        back = seen >> i & 1
+        seen |= 1 << v
+        steps.append("NE"[back] if v > i else "E" if v == i else "DS"[back])
+        labels.append(left if v > i else left + v - i)
     return LaguerreHistory("".join(steps), tuple(labels))
 
 
@@ -246,7 +247,19 @@ def motzkin_shape(p: Sequence[int]) -> str:
     >>> motzkin_shape((3, 1, 2))
     'NES'
     """
-    return fz_history(p).shape
+    return _shape(validate_permutation(p))
+
+
+def _shape(p: Window) -> str:
+    # the step kinds of _history alone, with D read as E (at a fixed point
+    # value i is not yet placed, so `back` is 0)
+    seen = 0
+    steps = []
+    for i, v in enumerate(p, 1):
+        back = seen >> i & 1
+        seen |= 1 << v
+        steps.append("NE"[back] if v > i else "ES"[back])
+    return "".join(steps)
 
 
 def path_weight(steps: str) -> int:

@@ -68,7 +68,7 @@ def _validate_window(window: Sequence[int]) -> None:
     seen: dict[int, int] = {}
     for k, v in enumerate(window, start=1):
         a = abs(v)
-        if a > n:
+        if not 0 < a <= n:
             raise ValueError(f"position {k}: entry {v} out of range for n={n}")
         if a in seen:
             raise ValueError(
@@ -132,12 +132,13 @@ def desc_set(p: Sequence[int]) -> tuple[int, ...]:
 
 
 def des(p: Sequence[int]) -> int:
-    return len(desc_set(p))
+    return sum(map(operator.gt, p, p[1:]))
 
 
 def drops(p: Sequence[int]) -> int:
     """Sum of descent gaps p_i - p_{i+1} over the descent set."""
-    return sum(a - b for a, b in itertools.pairwise(p) if a > b)
+    # the positive gaps are half of |gaps| plus gaps, which telescope
+    return (sum(map(abs, map(operator.sub, p, p[1:]))) + p[0] - p[-1]) >> 1 if p else 0
 
 
 def exc_set(p: Sequence[int]) -> tuple[int, ...]:
@@ -146,22 +147,22 @@ def exc_set(p: Sequence[int]) -> tuple[int, ...]:
 
 
 def exc(p: Sequence[int]) -> int:
-    return len(exc_set(p))
+    return sum(map(operator.gt, p, itertools.count(1)))
 
 
 def depth(p: Sequence[int]) -> int:
     """Sum of excedance displacements p_i - i; half the Spearman disarray."""
-    return sum(v - i - 1 for i, v in enumerate(p) if v > i + 1)
+    return spearman(p) >> 1
 
 
 def spearman(p: Sequence[int]) -> int:
     """Total displacement sum |p_i - i|; always equals 2 * depth."""
-    return sum(abs(v - i - 1) for i, v in enumerate(p))
+    return sum(map(abs, map(operator.sub, p, itertools.count(1))))
 
 
 def iexc(p: Sequence[int]) -> int:
-    """Excedance count of the inverse permutation."""
-    return exc(inverse(p))
+    """Excedance count of the inverse permutation: #{i : p_i < i}."""
+    return sum(map(operator.lt, p, itertools.count(1)))
 
 
 def reverse_complement(p: Sequence[int]) -> Window:
@@ -263,7 +264,7 @@ def zdrops(s: Sequence[int]) -> int:
     negative first entry always makes the virtual position a descent of gap
     -s_1, and that contribution is excluded here.
     """
-    return sum(a - b for a, b in itertools.pairwise(s) if a > b)
+    return drops(s)
 
 
 # ---------------------------------------------------------------------------

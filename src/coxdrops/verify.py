@@ -22,9 +22,10 @@ from . import genpoly as gp
 from . import perm_core as pc
 from .additive import block_additive
 from .genpoly import MultiPoly, dep_inv_poly, jfraction_convergent
-from .involutions import fixed_points, involution_a, involution_b
-from .laguerre import (fz_history, heights, max_height, motzkin_paths,
-                       motzkin_shape, path_weight)
+from .involutions import (_swap_magnitudes, _swap_positions, _toggle_a,
+                          _toggle_b, fixed_points)
+from .laguerre import (_history, _shape, heights, max_height, motzkin_paths,
+                       path_weight)
 from .perm_core import format_window, group_order, sweep
 
 
@@ -83,11 +84,11 @@ def _mad_key(w):
 
 
 def _mad_path_key(w):
-    return _mad_key(w) + (motzkin_shape(w),)
+    return _mad_key(w) + (_shape(w),)
 
 
 def _fz_key(w):
-    h = fz_history(w)
+    h = _history(w)
     return _fz_witness(w, h), h.steps, h.labels
 
 
@@ -104,60 +105,67 @@ def _fz_witness(w, h):
     return None
 
 
+# The involution hooks apply the swap found by _toggle_a/_toggle_b directly:
+# stream elements are valid by construction, so nothing is re-validated.
+
+def _image(w, hit, swap):
+    return w if hit is None else swap(w, hit[1], hit[2])
+
+
 def _shape_witness(w):
-    y = involution_a(w).output
-    if fz_history(w).shape != fz_history(y).shape:
+    y = _image(w, _toggle_a(w), _swap_positions)
+    if _shape(w) != _shape(y):
         return f"{format_window(w)}: shape changes under the involution"
     return None
 
 
 def _invol_key_s(w):
-    rep = involution_a(w)
-    return _invol_witness_s(w, rep), rep.fixed
+    hit = _toggle_a(w)
+    fault = _invol_fault_s(w, hit)
+    return fault and f"{format_window(w)}: {fault}", hit is None
 
 
-def _invol_witness_s(w, rep):
-    y = rep.output
-    me = format_window(w)
-    if rep.fixed:
+def _invol_fault_s(w, hit):
+    if hit is None:
         k = pc.inv(w)
         if not (pc.drops(w) == pc.depth(w) == pc.iexc(w) == k):
-            return f"{me}: fixed point without inv=drops=depth=iexc"
+            return "fixed point without inv=drops=depth=iexc"
         return None
-    if involution_a(y).output != w:
-        return f"{me}: map is not involutive"
+    y = _image(w, hit, _swap_positions)
+    if _image(y, _toggle_a(y), _swap_positions) != w:
+        return "map is not involutive"
     if (pc.inv(w) - pc.inv(y)) % 2 == 0:
-        return f"{me}: sign not reversed"
+        return "sign not reversed"
     if (pc.drops(w), pc.depth(w), pc.iexc(w)) != (pc.drops(y), pc.depth(y), pc.iexc(y)):
-        return f"{me}: (drops, depth, iexc) not preserved"
-    a, b = rep.transposition
-    d = rep.changed_factor_index
+        return "(drops, depth, iexc) not preserved"
+    d, ia, ib = hit
+    a, b = w[ia], w[ib]
     if not (a >= d + 1 and b >= d + 2):
-        return f"{me}: transposition ({a},{b}) violates bounds at stage {d}"
+        return f"transposition ({a},{b}) violates bounds at stage {d}"
     back = tuple(a if v == b else b if v == a else v for v in y)
     if back != w:
-        return f"{me}: transposition ({a},{b}) does not recover the input"
+        return f"transposition ({a},{b}) does not recover the input"
     return None
 
 
 def _invol_key_b(s):
-    rep = involution_b(s)
-    return _invol_witness_b(s, rep), rep.fixed
+    hit = _toggle_b(s)
+    fault = _invol_fault_b(s, hit)
+    return fault and f"{format_window(s)}: {fault}", hit is None
 
 
-def _invol_witness_b(s, rep):
-    y = rep.output
-    me = format_window(s)
-    if rep.fixed:
+def _invol_fault_b(s, hit):
+    if hit is None:
         if pc.inv_b(s) != pc.drops_b(s):
-            return f"{me}: fixed point without inv_b = drops_b"
+            return "fixed point without inv_b = drops_b"
         return None
-    if involution_b(y).output != s:
-        return f"{me}: map is not involutive"
+    y = _image(s, hit, _swap_magnitudes)
+    if _image(y, _toggle_b(y), _swap_magnitudes) != s:
+        return "map is not involutive"
     if (pc.inv_b(s) - pc.inv_b(y)) % 2 == 0:
-        return f"{me}: sign not reversed"
+        return "sign not reversed"
     if pc.drops_b(s) != pc.drops_b(y):
-        return f"{me}: drops_b not preserved"
+        return "drops_b not preserved"
     return None
 
 
@@ -268,7 +276,7 @@ def _run_mad(n: int, threads: int):
 
 
 def _run_weights(n: int, threads: int):
-    counter = sweep("S", n, motzkin_shape, threads)
+    counter = sweep("S", n, _shape, threads)
     paths = list(motzkin_paths(n))
     if sum(counter.values()) != math.factorial(n):
         return "shape image total is not n!"
@@ -278,7 +286,7 @@ def _run_weights(n: int, threads: int):
     low = [steps for steps in paths if max_height(steps) <= 1]
     if len(low) != 2 ** (n - 1):
         return "height<=1 path count is not 2^(n-1)"
-    fixed_shapes = {fz_history(w).shape for w in fixed_points("S", n)}
+    fixed_shapes = set(map(_shape, fixed_points("S", n)))
     if len(fixed_shapes) != 2 ** (n - 1) or fixed_shapes != set(low):
         return "fixed points do not biject onto height<=1 paths"
     return None

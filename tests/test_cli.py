@@ -91,6 +91,17 @@ def test_path_sweep(capsys):
     assert sum(int(r["weight"]) for r in rows) == 24
 
 
+def test_path_sweep_refuses_negative_n(capsys):
+    assert main(["path", "--n", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == "error: n must be >= 0\n"
+
+
+def test_poly_drops_mad_at_n_zero(capsys):
+    code, out = run_cli(capsys, "poly", "--which", "drops-mad", "--n", "0")
+    assert code == 0 and out == "1\n"
+
+
 def test_poly_verbs(capsys):
     code, out = run_cli(capsys, "poly", "--which", "trivariate", "--n", "2")
     assert out.strip() == "1 - t*p*q"

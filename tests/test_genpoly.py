@@ -219,6 +219,28 @@ def test_mad(w, want):
     assert mad(w) == want
 
 
+def _mad_oracle(w):
+    return pc.drops(w) + sum(right_embracings(w))
+
+
+def test_mad_equals_drops_plus_embracings_on_s1_to_s8(groups):
+    for n in range(1, 9):
+        for w in groups["S"](n):
+            assert mad(w) == _mad_oracle(w), w
+
+
+@given(st.integers(9, 20).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_mad_equals_drops_plus_embracings_up_to_n20(lst):
+    assert mad(tuple(lst)) == _mad_oracle(tuple(lst))
+
+
+def test_mad_and_blocks_of_the_empty_window():
+    assert descent_blocks(()) == []
+    assert right_embracings(()) == ()
+    assert mad(()) == 0
+    assert drops_mad_poly(0) == MultiPoly.one()
+
+
 def test_drops_mad_equidistribution_small():
     for n in range(1, 7):
         assert drops_mad_poly(n) == dep_inv_poly(n)

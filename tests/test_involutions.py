@@ -269,6 +269,13 @@ def test_fixed_points_bad_kind():
         list(fixed_points("D", 3))
 
 
+def test_fixed_points_at_n_zero_and_below():
+    assert list(fixed_points("S", 0)) == list(fixed_points("B", 0)) == [()]
+    for kind in ("S", "B"):
+        with pytest.raises(ValueError, match="^n must be >= 0$"):
+            fixed_points(kind, -1)
+
+
 # ---------------------------------------------------------------------------
 # type-D pairing maps
 # ---------------------------------------------------------------------------

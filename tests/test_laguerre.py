@@ -70,12 +70,22 @@ def test_history_validity_bounds():
 
 
 def test_fz_steps_follow_cyclic_classes(groups):
+    # the one-pass history against the per-position definitions
     step_of = {"CVal": "N", "CPk": "S", "Cda": "E", "Fix": "E", "Cdd": "D"}
-    for w in groups["S"](5):
-        h = fz_history(w)
-        for i, step in enumerate(h.steps, start=1):
-            assert step == step_of[cyclic_classify(w, i)]
-            assert h.labels[i - 1] == nest_at(w, i)
+    for n in range(9):
+        for w in groups["S"](n):
+            h = fz_history(w)
+            assert h.steps == "".join(step_of[cyclic_classify(w, i)]
+                                      for i in range(1, n + 1)), w
+            assert h.labels == tuple(nest_at(w, i) for i in range(1, n + 1)), w
+            assert motzkin_shape(w) == h.shape, w
+
+
+@pytest.mark.parametrize("bad", [(1, 1), (2, 3), (-1, 2), (0,)])
+def test_history_and_shape_reject_invalid_windows(bad):
+    for f in (fz_history, motzkin_shape):
+        with pytest.raises(ValueError):
+            f(bad)
 
 
 def test_fz_suite_small(groups):
@@ -139,6 +149,13 @@ def test_motzkin_counts():
     catalan = [1, 2, 5, 14, 42]
     for n in range(1, 5):
         assert sum(1 for _ in two_motzkin_paths(n)) == catalan[n]
+    assert list(motzkin_paths(0)) == list(two_motzkin_paths(0)) == [""]
+
+
+@pytest.mark.parametrize("paths", [motzkin_paths, two_motzkin_paths])
+def test_path_enumerators_refuse_negative_n(paths):
+    with pytest.raises(ValueError, match="^n must be >= 0$"):
+        paths(-1)
 
 
 def test_motzkin_shape_examples():

@@ -49,6 +49,32 @@ def test_exc_des_iexc():
     assert pc.inverse((2, 3, 1)) == (3, 1, 2)
 
 
+# the definitions the counting forms of exc, des, drops, depth and iexc
+# must agree with
+def _oracle_stats(w):
+    n = len(w)
+    return (len(pc.exc_set(w)), len(pc.desc_set(w)),
+            sum(w[i] - w[i + 1] for i in range(n - 1) if w[i] > w[i + 1]),
+            sum(w[i] - (i + 1) for i in range(n) if w[i] > i + 1),
+            len(pc.exc_set(pc.inverse(w))))
+
+
+def _stats(w):
+    return pc.exc(w), pc.des(w), pc.drops(w), pc.depth(w), pc.iexc(w)
+
+
+def test_statistics_equal_their_definitions_on_s0_to_s8(groups):
+    for n in range(9):
+        for w in groups["S"](n):
+            assert _stats(w) == _oracle_stats(w), w
+
+
+@given(st.integers(0, 40).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_statistics_equal_their_definitions_up_to_n40(lst):
+    w = tuple(lst)
+    assert _stats(w) == _oracle_stats(w)
+
+
 @pytest.mark.parametrize("w, want", [
     ((1, 2, 3), (1, 2, 3)),
     ((2, 1), (2, 1)),
@@ -157,6 +183,12 @@ def test_parse_window():
 def test_parse_window_errors(text, fragment):
     with pytest.raises(ValueError, match=fragment):
         pc.parse_window(text)
+
+
+def test_validation_rejects_a_zero_entry():
+    for validate in (pc.validate_permutation, pc.validate_signed):
+        with pytest.raises(ValueError, match="^position 1: entry 0 out of range for n=2$"):
+            validate((0, 2))
 
 
 def test_validate_permutation_rejects_signs():

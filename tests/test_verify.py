@@ -3,7 +3,10 @@ import math
 
 import pytest
 
-from coxdrops.perm_core import pool_size
+from coxdrops.involutions import (_swap_magnitudes, _swap_positions, _toggle_a,
+                                  _toggle_b)
+from coxdrops.laguerre import motzkin_shape
+from coxdrops.perm_core import format_window, iter_group, pool_size
 from coxdrops.verify import CLAIMS, claim_names, run_claim, run_claims
 
 
@@ -134,3 +137,70 @@ def test_cfrac_reports_at_the_ends_of_its_range():
     for n in (0, 9):
         (report,) = run_claim("cfrac", ns=(n,), threads=1)
         assert report.ok and report.count == math.factorial(n)
+
+
+# ---------------------------------------------------------------------------
+# the involution hooks against broken toggles
+# ---------------------------------------------------------------------------
+
+def _wrong_pair_a(p):
+    # pairs the larger of the two entries with the entry that triggered the
+    # toggle, instead of with the largest one
+    hit = _toggle_a(p)
+    return hit and (hit[0], hit[1], hit[0] + 1)
+
+
+def _wrong_pair_b(s):
+    # at the last stage, pairs the first magnitude with the last position
+    hit = _toggle_b(s)
+    return (hit[0], hit[1], len(s) - 1) if hit and hit[0] == len(s) else hit
+
+
+def _first_touched(kind, n, broken):
+    """The first element in rank order whose check meets the broken toggle,
+    on the element or on its true image.  Every element before it is checked
+    exactly as with the true toggle, under which the claim passes."""
+    toggle, swap = ((_toggle_a, _swap_positions) if kind == "S"
+                    else (_toggle_b, _swap_magnitudes))
+    for w in iter_group(kind, n):
+        hit = toggle(w)
+        y = w if hit is None else swap(w, hit[1], hit[2])
+        if broken(w) != hit or broken(y) != toggle(y):
+            return w
+
+
+@pytest.mark.parametrize("kind, n, name, broken, message", [
+    ("S", 3, "_toggle_a", _wrong_pair_a, "2,3,1: map is not involutive"),
+    ("S", 5, "_toggle_a", _wrong_pair_a, "1,2,4,5,3: map is not involutive"),
+    ("B", 3, "_toggle_b", _wrong_pair_b, "-3,-1,-2: sign not reversed"),
+    ("B", 4, "_toggle_b", _wrong_pair_b, "-4,-2,-1,-3: sign not reversed"),
+])
+def test_invol_reports_the_first_element_a_broken_toggle_fails(
+        monkeypatch, kind, n, name, broken, message):
+    import coxdrops.verify as v
+
+    first = format_window(_first_touched(kind, n, broken))
+    monkeypatch.setattr(v, name, broken)
+    reports = {r.group: r for r in run_claim("invol", ns=(n,), threads=1)}
+    assert reports[kind].status == "fail"
+    assert reports[kind].witness == message
+    assert message.startswith(first + ":")
+    # the other part of the claim keeps its true toggle and passes
+    assert reports["B" if kind == "S" else "S"].ok
+
+
+@pytest.mark.parametrize("n, first", [(3, "2,3,1"), (5, "1,2,4,5,3")])
+def test_shape_reports_the_first_element_a_broken_toggle_moves(monkeypatch, n, first):
+    import coxdrops.verify as v
+
+    def image(w):
+        hit = _wrong_pair_a(w)
+        return w if hit is None else _swap_positions(w, hit[1], hit[2])
+
+    moved = next(w for w in iter_group("S", n)
+                 if motzkin_shape(w) != motzkin_shape(image(w)))
+    assert format_window(moved) == first
+    monkeypatch.setattr(v, "_toggle_a", _wrong_pair_a)
+    (report,) = run_claim("shape", ns=(n,), threads=1)
+    assert report.status == "fail"
+    assert report.witness == f"{first}: shape changes under the involution"
