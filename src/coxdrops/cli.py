@@ -24,6 +24,11 @@ from .reduced_words import canonical_word, ird_and_ascents
 from .verify import CLAIMS, run_claim
 
 
+# the most elements `verify --n` sweeps per group without --force: B_8
+# (10,321,920) runs, S_11 (39,916,800) does not
+VERIFY_BUDGET = 2 * 10 ** 7
+
+
 def _die(message: str) -> "SystemExit":
     print(f"error: {message}", file=sys.stderr)
     return SystemExit(2)
@@ -203,11 +208,19 @@ def _cmd_verify(args) -> int:
     if args.n is not None:
         if args.n < 0 or (args.n == 0 and set(names) != {"cfrac"}):
             raise _die(f"out-of-range n {args.n}")
-        if args.claims:
-            # explicitly selected claims must be runnable at an explicit size
-            for name in args.claims:
-                if any(p.group == "D" for p in CLAIMS[name]) and args.n < 2:
-                    raise _die(f"claim {name!r} needs n >= 2")
+        # an explicit size applies to every part of every selected claim;
+        # an explicitly selected claim must be runnable at it
+        for name in names:
+            for part in CLAIMS[name]:
+                if part.group == "D" and args.n < 2:
+                    if args.claims:
+                        raise _die(f"claim {name!r} needs n >= 2")
+                    continue
+                size = pc.group_order(part.group, args.n) if args.n else 1
+                if size > VERIFY_BUDGET and not args.force:
+                    raise _die(f"verify {name} would sweep {part.group}_{args.n} "
+                               f"({size:,} elements), over the {VERIFY_BUDGET:,}-"
+                               f"element budget; pass --force to run it anyway")
     elif args.max_n is not None:
         # a selected claim, or every claim of an unfiltered run, must keep a size
         empty = [name for name in names
@@ -319,6 +332,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n", type=int, help="sweep sizes up to this bound")
     p.add_argument("--threads", type=int, default=0,
                    help="worker processes (default: all cores)")
+    p.add_argument("--force", action="store_true",
+                   help=f"run an explicit --n even when a group has more "
+                        f"than {VERIFY_BUDGET:,} elements")
     p.set_defaults(func=_cmd_verify)
 
     p = common(sub.add_parser("match", help="Bruhat-order matching and DOT export"))

@@ -319,8 +319,20 @@ def dep_inv_poly(n: int) -> MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# truncated series and the continued-fraction convergent
+# Motzkin-path weights and the continued-fraction convergent
 # ---------------------------------------------------------------------------
+
+def _step_weight(step: str, h: int) -> MultiPoly:
+    # a Motzkin step at pre-step height h weighs x^h q^h times [h+1]_q (N),
+    # [h]_q (S) or [h]_q + [h+1]_q (E)
+    if step == "N":
+        f = q_integer(h + 1)
+    elif step == "S":
+        f = q_integer(h)
+    else:
+        f = q_integer(h) + q_integer(h + 1)
+    return MultiPoly.term(1, x=h, q=h) * f
+
 
 class TruncatedSeries:
     """
@@ -352,84 +364,40 @@ class TruncatedSeries:
         return (isinstance(other, TruncatedSeries) and self.order == other.order
                 and self.coeffs == other.coeffs)
 
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        out = TruncatedSeries(self.order)
-        for i in range(self.order + 1):
-            out.coeffs[i] = self.coeffs[i] + other.coeffs[i]
-        return out
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        out = TruncatedSeries(self.order)
-        for i in range(self.order + 1):
-            out.coeffs[i] = self.coeffs[i] - other.coeffs[i]
-        return out
-
-    def __mul__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        out = TruncatedSeries(self.order)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j in range(self.order + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out.coeffs[i + j] = out.coeffs[i + j] + a * b
-        return out
-
-    def shift(self, k: int) -> "TruncatedSeries":
-        """Multiply by t^k."""
-        out = TruncatedSeries(self.order)
-        for i in range(self.order + 1 - k):
-            out.coeffs[i + k] = self.coeffs[i]
-        return out
-
-    def scale_poly(self, f: MultiPoly) -> "TruncatedSeries":
-        out = TruncatedSeries(self.order)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                out.coeffs[i] = a * f
-        return out
-
-    def inverse(self) -> "TruncatedSeries":
-        """Multiplicative inverse; the constant term must be 1."""
-        if self.coeffs[0] != MultiPoly.one():
-            raise ValueError("series inverse needs constant term 1")
-        out = TruncatedSeries(self.order)
-        out.coeffs[0] = MultiPoly.one()
-        for k in range(1, self.order + 1):
-            acc = MultiPoly.zero()
-            for j in range(1, k + 1):
-                if self.coeffs[j]:
-                    acc = acc + self.coeffs[j] * out.coeffs[k - j]
-            out.coeffs[k] = -acc
-        return out
-
-
-def _cfrac_c(k: int) -> MultiPoly:
-    return MultiPoly.term(1, x=k, q=k) * (q_integer(k) + q_integer(k + 1))
-
-
-def _cfrac_b(m: int) -> MultiPoly:
-    return MultiPoly.term(1, x=2 * m - 1, q=2 * m - 1) * (q_integer(m) ** 2)
-
 
 def jfraction_convergent(order: int) -> TruncatedSeries:
     """
     The J-fraction 1 / (1 - c_0 t - b_1 t^2 / (1 - c_1 t - ...)) with
     c_k = x^k q^k ([k]_q + [k+1]_q) and b_m = x^(2m-1) q^(2m-1) [m]_q^2,
-    evaluated bottom up from depth order+1 and truncated at t^order.  The
-    coefficient of t^n is the (depth, inv) enumerator of S_n.
+    truncated at t^order.  By Flajolet's path expansion the coefficient of
+    t^n is the sum of per_path_enumerator over the Motzkin paths of length
+    n, which is the (depth, inv) enumerator of S_n.  That sum is one
+    transfer over (length, height), not a bottom-up evaluation: a vector
+    indexed by height, capped at min(k, order - k) since a path must come
+    back down, is pushed one step at a time and read at height 0.
 
     >>> jfraction_convergent(2).coefficient(2).pretty()
     '1 + q*x'
     """
     if order < 0:
         raise ValueError("order must be >= 0")
-    tail = TruncatedSeries.one(order)
-    for k in range(order, -1, -1):
-        den = TruncatedSeries(order, [MultiPoly.one(), -_cfrac_c(k)])
-        den = den - tail.scale_poly(_cfrac_b(k + 1)).shift(2)
-        tail = den.inverse()
-    return tail
+    weights = [[_step_weight(s, h) for s in "NES"] for h in range(order // 2 + 1)]
+    series = TruncatedSeries.one(order)
+    row = [MultiPoly.one()]                    # length 0: the empty path
+    for k in range(1, order + 1):
+        cap = min(k, order - k)
+        nxt = [MultiPoly.zero() for _ in range(cap + 1)]
+        for h, f in enumerate(row):
+            up, across, down = weights[h]
+            if h < cap:
+                nxt[h + 1] = nxt[h + 1] + f * up
+            if h <= cap:
+                nxt[h] = nxt[h] + f * across
+            if h:
+                nxt[h - 1] = nxt[h - 1] + f * down
+        row = nxt
+        series.coeffs[k] = row[0]
+    return series
 
 
 # ---------------------------------------------------------------------------
@@ -525,13 +493,7 @@ def per_path_enumerator(steps: str) -> MultiPoly:
         raise ValueError(f"{steps!r} is not a Motzkin path")
     out = MultiPoly.one()
     for s, h in zip(steps, heights(steps)):
-        if s == "N":
-            f = q_integer(h + 1)
-        elif s == "S":
-            f = q_integer(h)
-        else:
-            f = q_integer(h) + q_integer(h + 1)
-        out = out * (MultiPoly.term(1, x=h, q=h) * f)
+        out = out * _step_weight(s, h)
     return out
 
 

@@ -24,8 +24,8 @@ from .additive import block_additive
 from .genpoly import MultiPoly, dep_inv_poly, jfraction_convergent
 from .involutions import (_swap_magnitudes, _swap_positions, _toggle_a,
                           _toggle_b, fixed_points)
-from .laguerre import (_history, _shape, heights, max_height, motzkin_paths,
-                       path_weight)
+from .laguerre import (STEPS_2MOTZKIN, _history, _shape, max_height,
+                       motzkin_paths, path_weight)
 from .perm_core import format_window, group_order, sweep
 
 
@@ -93,9 +93,9 @@ def _fz_key(w):
 
 
 def _fz_witness(w, h):
-    if not h.is_valid():
+    ar = _restricted_area(h.steps, h.labels)
+    if ar is None:
         return f"{format_window(w)}: image is not a restricted history"
-    ar = sum(heights(h.steps))
     if pc.depth(w) != ar:
         return f"{format_window(w)}: depth {pc.depth(w)} != area {ar}"
     if pc.inv(w) != ar + sum(h.labels):
@@ -103,6 +103,20 @@ def _fz_witness(w, h):
     if pc.iexc(w) != h.steps.count("N") + h.steps.count("D"):
         return f"{format_window(w)}: iexc != #N + #dE"
     return None
+
+
+def _restricted_area(steps, labels):
+    # LaguerreHistory.is_valid in one walk that also sums the pre-step
+    # heights: the area of a restricted history, None for anything else
+    if len(steps) != len(labels):
+        return None
+    h = ar = 0
+    for s, p in zip(steps, labels):
+        if s not in STEPS_2MOTZKIN or not 0 <= p <= h - (s in "SD"):
+            return None
+        ar += h
+        h += (s == "N") - (s == "S")
+    return ar if h == 0 else None
 
 
 # The involution hooks apply the swap found by _toggle_a/_toggle_b directly:

@@ -1,9 +1,11 @@
 import csv
 import io
 import json
+import math
 
 import pytest
 
+from coxdrops import cli
 from coxdrops.cli import main
 
 
@@ -231,3 +233,43 @@ def test_module_entry_point():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "drops" in proc.stdout
+
+
+def test_cfrac_verb_at_order_12(capsys):
+    code, out = run_cli(capsys, "cfrac", "--order", "12", "--format", "json")
+    doc = json.loads(out)
+    assert code == 0 and [d["n"] for d in doc] == list(range(13))
+    assert sum(int(t["coeff"]) for t in doc[-1]["poly"]) == math.factorial(12)
+
+
+def test_cfrac_verb_refuses_negative_order(capsys):
+    assert main(["cfrac", "--order", "-1"]) == 2
+    assert capsys.readouterr().err == "error: order must be >= 0\n"
+
+
+def _no_sweep(*args, **kwargs):
+    raise AssertionError("a sweep started")
+
+
+@pytest.mark.parametrize("argv, part", [
+    (["cfrac", "--n", "12"], "cfrac would sweep S_12 (479,001,600 elements)"),
+    (["invol", "--n", "9"], "invol would sweep B_9 (185,794,560 elements)"),
+    (["--n", "11"], "thm1.1 would sweep S_11 (39,916,800 elements)"),
+])
+def test_verify_refuses_a_sweep_over_budget(capsys, monkeypatch, argv, part):
+    monkeypatch.setattr(cli, "run_claim", _no_sweep)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert part in err and "--force" in err
+
+
+def test_verify_runs_within_budget_or_forced(capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(cli, "run_claim",
+                        lambda name, ns, *rest: calls.append((name, ns)) or [])
+    assert main(["verify", "invol", "--n", "8"]) == 0
+    assert main(["verify", "cfrac", "--n", "0"]) == 0
+    assert main(["verify", "cfrac", "--n", "12", "--force"]) == 0
+    assert calls == [("invol", (8,)), ("cfrac", (0,)), ("cfrac", (12,))]

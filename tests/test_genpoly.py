@@ -7,10 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxdrops import perm_core as pc
-from coxdrops.genpoly import (MultiPoly, TruncatedSeries, dep_inv_poly,
-                              descent_blocks, drops_mad_poly, drops_moments,
-                              drops_poly, jfraction_convergent, mad,
-                              per_path_enumerator, poly_from_counter,
+from coxdrops.genpoly import (MultiPoly, TruncatedSeries, _step_weight,
+                              dep_inv_poly, descent_blocks, drops_mad_poly,
+                              drops_moments, drops_poly, jfraction_convergent,
+                              mad, per_path_enumerator, poly_from_counter,
                               q_integer, right_embracings, signed_drops,
                               signed_trivariate)
 from coxdrops.laguerre import fz_history, motzkin_paths
@@ -145,6 +145,82 @@ def test_bivariate_identity_small():
 # ---------------------------------------------------------------------------
 # continued fraction
 # ---------------------------------------------------------------------------
+#
+# The oracle: truncated-series arithmetic and the literal bottom-up
+# evaluation of the J-fraction, against which the path transfer in
+# jfraction_convergent is checked.
+
+class OracleSeries(TruncatedSeries):
+    __slots__ = ()
+
+    def __add__(self, other):
+        out = OracleSeries(self.order)
+        for i in range(self.order + 1):
+            out.coeffs[i] = self.coeffs[i] + other.coeffs[i]
+        return out
+
+    def __sub__(self, other):
+        out = OracleSeries(self.order)
+        for i in range(self.order + 1):
+            out.coeffs[i] = self.coeffs[i] - other.coeffs[i]
+        return out
+
+    def __mul__(self, other):
+        out = OracleSeries(self.order)
+        for i, a in enumerate(self.coeffs):
+            if not a:
+                continue
+            for j in range(self.order + 1 - i):
+                b = other.coeffs[j]
+                if b:
+                    out.coeffs[i + j] = out.coeffs[i + j] + a * b
+        return out
+
+    def shift(self, k):
+        """Multiply by t^k."""
+        out = OracleSeries(self.order)
+        for i in range(self.order + 1 - k):
+            out.coeffs[i + k] = self.coeffs[i]
+        return out
+
+    def scale_poly(self, f):
+        out = OracleSeries(self.order)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                out.coeffs[i] = a * f
+        return out
+
+    def inverse(self):
+        """Multiplicative inverse; the constant term must be 1."""
+        if self.coeffs[0] != MultiPoly.one():
+            raise ValueError("series inverse needs constant term 1")
+        out = OracleSeries.one(self.order)
+        for k in range(1, self.order + 1):
+            acc = MultiPoly.zero()
+            for j in range(1, k + 1):
+                if self.coeffs[j]:
+                    acc = acc + self.coeffs[j] * out.coeffs[k - j]
+            out.coeffs[k] = -acc
+        return out
+
+
+def _cfrac_c(k):
+    return MultiPoly.term(1, x=k, q=k) * (q_integer(k) + q_integer(k + 1))
+
+
+def _cfrac_b(m):
+    return MultiPoly.term(1, x=2 * m - 1, q=2 * m - 1) * (q_integer(m) ** 2)
+
+
+def bottom_up_convergent(order):
+    """1 / (1 - c_0 t - b_1 t^2 / (1 - c_1 t - ...)) from depth order + 1 up."""
+    tail = OracleSeries.one(order)
+    for k in range(order, -1, -1):
+        den = OracleSeries(order, [MultiPoly.one(), -_cfrac_c(k)])
+        den = den - tail.scale_poly(_cfrac_b(k + 1)).shift(2)
+        tail = den.inverse()
+    return tail
+
 
 def test_jfraction_low_coefficients():
     series = jfraction_convergent(3)
@@ -162,32 +238,98 @@ def test_jfraction_order_zero_is_one():
     assert jfraction_convergent(0) == TruncatedSeries.one(0)
 
 
+def test_jfraction_refuses_negative_order():
+    with pytest.raises(ValueError):
+        jfraction_convergent(-1)
+
+
 def test_jfraction_matches_enumeration_to_6():
     series = jfraction_convergent(6)
     for n in range(7):
         assert series.coefficient(n) == dep_inv_poly(n)
 
 
+@pytest.mark.parametrize("order", [
+    *range(10), pytest.param(10, marks=pytest.mark.slow)])
+def test_jfraction_equals_the_bottom_up_oracle(order):
+    got = jfraction_convergent(order)
+    want = bottom_up_convergent(order)
+    for k in range(order + 1):
+        assert got.coefficient(k) == want.coefficient(k), k
+
+
+def test_path_sums_equal_the_convergent_to_8():
+    series = jfraction_convergent(8)
+    for n in range(9):
+        total = MultiPoly.zero()
+        for steps in motzkin_paths(n):
+            total = total + per_path_enumerator(steps)
+        assert total == series.coefficient(n), n
+
+
+def test_step_weight():
+    assert _step_weight("N", 0) == MultiPoly.one()
+    assert _step_weight("S", 0) == MultiPoly.zero()
+    assert _step_weight("E", 0) == MultiPoly.one()
+    assert _step_weight("E", 1).pretty() == "2*q*x + q^2*x"
+    assert _step_weight("S", 2) == MultiPoly.term(1, x=2, q=2) * q_integer(2)
+
+
+# Beyond the exhaustive range: expected values from plain integer lists,
+# with no package code.
+
+def _q_factorial(n):
+    # coefficient list of [1]_q [2]_q ... [n]_q
+    out = [1]
+    for k in range(1, n + 1):
+        nxt = [0] * (len(out) + k - 1)
+        for i, c in enumerate(out):
+            for j in range(k):
+                nxt[i + j] += c
+        out = nxt
+    return out
+
+
+@pytest.fixture(scope="module")
+def convergent_20():
+    return jfraction_convergent(20)
+
+
+def test_convergent_at_x1_is_the_q_factorial_to_20(convergent_20):
+    for n in range(21):
+        got = convergent_20.coefficient(n).substitute(x=1).univariate("q")
+        want = {k: c for k, c in enumerate(_q_factorial(n)) if c}
+        assert got == want, n
+
+
+def test_depth_moments_at_q1_to_20(convergent_20):
+    # the criterion-12d closed form for depth, beyond the sweeps of S_n
+    for n in range(9, 21):
+        dist = convergent_20.coefficient(n).substitute(q=1).univariate("x")
+        total = sum(dist.values())
+        assert total == math.factorial(n)
+        mean = Fraction(sum(k * c for k, c in dist.items()), total)
+        second = Fraction(sum(k * k * c for k, c in dist.items()), total)
+        assert mean == Fraction(n * n - 1, 6), n
+        assert second - mean * mean == Fraction((n + 1) * (2 * n * n + 7), 180), n
+
+
 def test_series_arithmetic():
-    one = TruncatedSeries.one(4)
-    t = TruncatedSeries(4, [MultiPoly.zero(), MultiPoly.one()])
+    one = OracleSeries.one(4)
+    t = OracleSeries(4, [MultiPoly.zero(), MultiPoly.one()])
     geom = (one - t).inverse()
     for k in range(5):
         assert geom.coefficient(k) == MultiPoly.one()
-    assert (one - t) * geom == _series_eq_one(4)
+    assert (one - t) * geom == TruncatedSeries.one(4)
     with pytest.raises(ValueError):
         t.inverse()
     with pytest.raises(ValueError):
         geom.coefficient(5)
 
 
-def _series_eq_one(order):
-    return TruncatedSeries.one(order)
-
-
 def test_series_mul_is_truncated_convolution():
-    a = TruncatedSeries(2, [MultiPoly.one(), MultiPoly.term(1, q=1)])
-    b = TruncatedSeries(2, [MultiPoly.one(), MultiPoly.term(1, x=1)])
+    a = OracleSeries(2, [MultiPoly.one(), MultiPoly.term(1, q=1)])
+    b = OracleSeries(2, [MultiPoly.one(), MultiPoly.term(1, x=1)])
     c = a * b
     assert c.coefficient(1) == MultiPoly.term(1, q=1) + MultiPoly.term(1, x=1)
     assert c.coefficient(2) == MultiPoly.term(1, q=1, x=1)

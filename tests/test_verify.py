@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 
@@ -5,9 +6,10 @@ import pytest
 
 from coxdrops.involutions import (_swap_magnitudes, _swap_positions, _toggle_a,
                                   _toggle_b)
-from coxdrops.laguerre import motzkin_shape
+from coxdrops.laguerre import LaguerreHistory, fz_history, heights, motzkin_shape
 from coxdrops.perm_core import format_window, iter_group, pool_size
-from coxdrops.verify import CLAIMS, claim_names, run_claim, run_claims
+from coxdrops.verify import (CLAIMS, _restricted_area, claim_names, run_claim,
+                             run_claims)
 
 
 def test_registry_contents():
@@ -204,3 +206,45 @@ def test_shape_reports_the_first_element_a_broken_toggle_moves(monkeypatch, n, f
     (report,) = run_claim("shape", ns=(n,), threads=1)
     assert report.status == "fail"
     assert report.witness == f"{first}: shape changes under the involution"
+
+
+# ---------------------------------------------------------------------------
+# the one-pass restricted-history check of the fz claim
+# ---------------------------------------------------------------------------
+
+def _agrees_with_is_valid(h):
+    got = _restricted_area(h.steps, h.labels)
+    if h.is_valid():
+        return got == sum(heights(h.steps))
+    return got is None
+
+
+def test_restricted_area_agrees_with_is_valid_on_s0_to_s6(groups):
+    for n in range(7):
+        for w in groups["S"](n):
+            assert _agrees_with_is_valid(fz_history(w)), w
+
+
+@pytest.mark.parametrize("steps, labels", [
+    ("S", (0,)), ("N", (0,)), ("NS", (0, 1)), ("NS", (1, 0)), ("ND", (0, 0)),
+    ("NDS", (0, 0, 0)), ("NDS", (0, 1, 0)), ("NXS", (0, 0, 0)), ("NS", (0,)),
+    ("NE", (0, -1)), ("SN", (0, 0)),
+])
+def test_restricted_area_agrees_with_is_valid_on_hand_made_histories(steps, labels):
+    assert _agrees_with_is_valid(LaguerreHistory(steps, labels))
+
+
+def test_restricted_area_agrees_with_is_valid_on_short_words():
+    for n in range(4):
+        for steps in itertools.product("NSEDX", repeat=n):
+            for labels in itertools.product(range(-1, 3), repeat=n):
+                assert _agrees_with_is_valid(LaguerreHistory("".join(steps), labels))
+
+
+def test_fz_reports_a_history_that_is_not_restricted(monkeypatch):
+    import coxdrops.verify as v
+    real = v._history
+    monkeypatch.setattr(v, "_history", lambda w: (
+        LaguerreHistory("SN", (0, 0)) if w == (2, 1) else real(w)))
+    (report,) = run_claim("fz", ns=(2,), threads=1)
+    assert report.witness == "2,1: image is not a restricted history"
