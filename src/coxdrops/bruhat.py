@@ -16,7 +16,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .involutions import involution_a, involution_b
+from .involutions import fixed_points, involution_a, involution_b
 from .perm_core import (Window, format_window, group_order, inv, inv_b,
                         is_unsigned, iter_group)
 from .reduced_words import canonical_word, evaluate_word
@@ -101,6 +101,11 @@ class MatchingEdge:
     kind: str                   # "involution" or "fixed_toggle"
 
 
+def _check_kind(kind: str) -> None:
+    if kind not in ("S", "B"):
+        raise ValueError("build_matching kinds: 'S', 'B'")
+
+
 def _length(kind: str, w: Sequence[int]) -> int:
     return inv(w) if kind == "S" else inv_b(w)
 
@@ -115,16 +120,13 @@ def build_matching(kind: str, n: int) -> list[MatchingEdge]:
     >>> len(build_matching("S", 4))
     12
     """
-    if kind not in ("S", "B"):
-        raise ValueError("build_matching kinds: 'S', 'B'")
+    _check_kind(kind)
     if n < 2:
         raise ValueError("matching needs n >= 2")
     invol = involution_a if kind == "S" else involution_b
-    wordkind = "A" if kind == "S" else "B"
-    lo_gen = 1 if kind == "S" else 0
     edges = []
     seen = set()
-    for w in iter_group(kind if kind == "S" else "B", n):
+    for w in iter_group(kind, n):
         if w in seen:
             continue
         rep = invol(w)
@@ -135,16 +137,10 @@ def build_matching(kind: str, n: int) -> list[MatchingEdge]:
             lower, upper = ((w, other) if _length(kind, w) < _length(kind, other)
                             else (other, w))
             edges.append(MatchingEdge(lower, upper, "involution"))
-    # fixed points, paired by presence of the lowest generator
-    gens = range(n - 1, lo_gen - 1, -1)
-    for mask in range(1 << (n - lo_gen)):
-        if mask & 1:
-            continue                          # enumerate pairs once, from the lower side
-        word_lo = tuple(k for k in gens if mask >> (k - lo_gen) & 1)
-        word_hi = tuple(k for k in gens if (mask | 1) >> (k - lo_gen) & 1)
-        lower = evaluate_word(word_lo, wordkind, n)
-        upper = evaluate_word(word_hi, wordkind, n)
-        edges.append(MatchingEdge(lower, upper, "fixed_toggle"))
+    # fixed points come in pairs that differ by the lowest generator alone
+    fixed = fixed_points(kind, n)
+    edges += [MatchingEdge(lower, upper, "fixed_toggle")
+              for lower, upper in zip(fixed, fixed)]
     return edges
 
 
@@ -161,7 +157,8 @@ def validate_matching(edges: Iterable[MatchingEdge], kind: str, n: int) -> Match
     comparability of every edge (each edge is then a cover, the order being
     graded by length).  Violations name both endpoints.
     """
-    order = group_order("S" if kind == "S" else "B", n)
+    _check_kind(kind)
+    order = group_order(kind, n)
     cover: dict[Window, int] = {}
     violations = []
     n_edges = 0
@@ -192,9 +189,9 @@ def validate_matching(edges: Iterable[MatchingEdge], kind: str, n: int) -> Match
 
 def hasse_covers(kind: str, n: int) -> Iterator[tuple[Window, Window]]:
     """All covers u < v with unit length gap; the Hasse diagram of the order."""
-    group = "S" if kind == "S" else "B"
+    _check_kind(kind)
     by_len: dict[int, list[Window]] = {}
-    for w in iter_group(group, n):
+    for w in iter_group(kind, n):
         by_len.setdefault(_length(kind, w), []).append(w)
     for ell, level in sorted(by_len.items()):
         for u in level:
@@ -232,10 +229,10 @@ def matching_to_text(edges: Iterable[MatchingEdge], kind: str, n: int) -> str:
     Plain-text export: one section listing every element with its canonical
     word, one section listing the matching edges.
     """
+    _check_kind(kind)
     wordkind = "A" if kind == "S" else "B"
-    group = "S" if kind == "S" else "B"
     lines = ["# canonical words"]
-    for w in iter_group(group, n):
+    for w in iter_group(kind, n):
         lines.append(f"{format_window(w)}  {canonical_word(w, wordkind)}")
     lines.append("# matching")
     for e in sorted(edges, key=lambda e: (_length(kind, e.lower), e.lower)):

@@ -21,7 +21,7 @@ from .involutions import involution_a, involution_b
 from .laguerre import (area, fz_history, heights, max_height, motzkin_paths,
                        nest, path_weight, is_valid_path, STEPS_MOTZKIN)
 from .reduced_words import canonical_word, ird_and_ascents
-from .verify import CLAIMS, run_claim
+from .verify import CLAIMS, plan, run_claim
 
 
 # the most elements `verify --n` sweeps per group without --force: B_8
@@ -89,8 +89,8 @@ def _cmd_stats(args) -> int:
                          "zdrops", "nsum", "negs"])
         for w in pc.iter_group(args.group, args.n):
             writer.writerow([pc.format_window(w), pc.inv_b(w), pc.inv_d(w),
-                             pc.drops_b(w), pc.drops_d(w), pc.zdrops(w),
-                             pc.nsum(w), len(pc.negs(w))])
+                             pc.drops_b(w), pc.drops_d(w) if args.n >= 2 else "",
+                             pc.zdrops(w), pc.nsum(w), len(pc.negs(w))])
     _emit(buf.getvalue().rstrip("\n"), args.out)
     return 0
 
@@ -202,34 +202,25 @@ def _cmd_cfrac(args) -> int:
 
 def _cmd_verify(args) -> int:
     names = args.claims or list(CLAIMS)
-    for name in names:
-        if name not in CLAIMS:
-            raise _die(f"unknown claim {name!r}; known: {', '.join(CLAIMS)}")
-    if args.n is not None:
-        if args.n < 0 or (args.n == 0 and set(names) != {"cfrac"}):
-            raise _die(f"out-of-range n {args.n}")
-        # an explicit size applies to every part of every selected claim;
-        # an explicitly selected claim must be runnable at it
-        for name in names:
-            for part in CLAIMS[name]:
-                if part.group == "D" and args.n < 2:
-                    if args.claims:
-                        raise _die(f"claim {name!r} needs n >= 2")
-                    continue
-                size = pc.group_order(part.group, args.n) if args.n else 1
-                if size > VERIFY_BUDGET and not args.force:
-                    raise _die(f"verify {name} would sweep {part.group}_{args.n} "
-                               f"({size:,} elements), over the {VERIFY_BUDGET:,}-"
-                               f"element budget; pass --force to run it anyway")
-    elif args.max_n is not None:
-        # a selected claim, or every claim of an unfiltered run, must keep a size
-        empty = [name for name in names
-                 if all(args.max_n < min(p.default_ns) for p in CLAIMS[name])]
-        if empty and (args.claims or empty == names):
-            raise _die(f"--max-n {args.max_n} leaves claim {empty[0]!r} no size to run")
+    ns = (args.n,) if args.n is not None else None
+    try:
+        runs = plan(names, ns, args.max_n)
+    except ValueError as exc:
+        raise _die(str(exc)) from None
+    # a selected claim, or every claim of an unfiltered run, must keep a size
+    planned = {part.name for part, _ in runs}
+    empty = [name for name in names if name not in planned]
+    if empty and (args.claims or not runs):
+        low = min(min(part.default_ns) for part in CLAIMS[empty[0]])
+        raise _die(f"claim {empty[0]!r} has no size to run: it starts at n = {low}")
+    for part, n in runs:
+        size = pc.group_order(part.group, n)
+        if size > VERIFY_BUDGET and not args.force:
+            raise _die(f"verify {part.name} would sweep {part.group}_{n} "
+                       f"({size:,} elements), over the {VERIFY_BUDGET:,}-"
+                       f"element budget; pass --force to run it anyway")
     if args.threads < 0:
         raise _die(f"--threads must be >= 0 (0 means all cores), got {args.threads}")
-    ns = (args.n,) if args.n is not None else None
     threads = args.threads if args.threads else (os.cpu_count() or 1)
     reports = []
     for name in names:

@@ -268,15 +268,6 @@ def _drops_mad_key(w):
     return 0, 0, mad(w), pc.drops(w), 0
 
 
-def _enumerate(kind: str, n: int, key) -> MultiPoly:
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    if kind == "D" and n < 2:
-        raise ValueError("D_n needs n >= 2")
-    # S_0 holds the empty window alone
-    return poly_from_counter(pc.sweep(kind, n, key) if n else Counter([key(())]))
-
-
 def signed_trivariate(n: int) -> MultiPoly:
     """
     Sum over S_n of (-1)^inv t^exc p^depth q^drops, which factors as
@@ -285,7 +276,7 @@ def signed_trivariate(n: int) -> MultiPoly:
     >>> signed_trivariate(2).pretty()
     '1 - t*p*q'
     """
-    return _enumerate("S", n, trivariate_key)
+    return poly_from_counter(pc.sweep("S", n, trivariate_key))
 
 
 def signed_drops(kind: str, n: int) -> MultiPoly:
@@ -298,14 +289,14 @@ def signed_drops(kind: str, n: int) -> MultiPoly:
     keys = {"S": drops_key_s, "B": drops_key_b, "D": drops_key_d}
     if kind not in keys:
         raise ValueError("signed_drops kinds: 'S', 'B', 'D'")
-    return _enumerate(kind, n, keys[kind])
+    return poly_from_counter(pc.sweep(kind, n, keys[kind]))
 
 
 def drops_poly(kind: str, n: int) -> MultiPoly:
     """Unsigned drops enumerator over S_n or the even subgroup A_n."""
     if kind not in ("S", "A"):
         raise ValueError("drops_poly kinds: 'S', 'A'")
-    return _enumerate(kind, n, _unsigned_drops_key)
+    return poly_from_counter(pc.sweep(kind, n, _unsigned_drops_key))
 
 
 def dep_inv_poly(n: int) -> MultiPoly:
@@ -315,7 +306,7 @@ def dep_inv_poly(n: int) -> MultiPoly:
     >>> dep_inv_poly(3).pretty()
     '1 + 2*q*x + 2*q^2*x^2 + q^3*x^2'
     """
-    return _enumerate("S", n, _dep_inv_key)
+    return poly_from_counter(pc.sweep("S", n, _dep_inv_key))
 
 
 # ---------------------------------------------------------------------------
@@ -473,7 +464,7 @@ def mad(p: Sequence[int]) -> int:
 
 def drops_mad_poly(n: int) -> MultiPoly:
     """Sum over S_n of x^drops q^mad; equidistributed with (depth, inv)."""
-    return _enumerate("S", n, _drops_mad_key)
+    return poly_from_counter(pc.sweep("S", n, _drops_mad_key))
 
 
 # ---------------------------------------------------------------------------
@@ -509,7 +500,11 @@ def drops_moments(kind: str, n: int) -> tuple[Fraction, Fraction]:
     >>> drops_moments("S", 3)
     (Fraction(4, 3), Fraction(5, 9))
     """
-    dist = drops_poly(kind, n).univariate("q")
+    return mean_variance(drops_poly(kind, n).univariate("q"))
+
+
+def mean_variance(dist: dict[int, int]) -> tuple[Fraction, Fraction]:
+    """Exact mean and variance of a distribution given as value -> count."""
     total = sum(dist.values())
     mean = Fraction(sum(k * c for k, c in dist.items()), total)
     second = Fraction(sum(k * k * c for k, c in dist.items()), total)

@@ -36,8 +36,8 @@ import json
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .perm_core import (Window, format_window, in_type_d, validate_permutation,
-                        validate_signed)
+from .perm_core import (Window, check_group, format_window, in_type_d,
+                        validate_permutation, validate_signed)
 from .reduced_words import evaluate_word
 
 
@@ -159,7 +159,9 @@ def fixed_points(kind: str, n: int) -> Iterator[Window]:
     The involution's fixed points: elements whose canonical word is a
     strictly decreasing sequence of distinct generator indices.  There are
     2^(n-1) of them in S_n (subsets of s_1..s_{n-1}) and 2^n in B_n
-    (subsets of s_0..s_{n-1}).
+    (subsets of s_0..s_{n-1}).  Element k, counted from 0, takes the
+    generators whose bits are set in k, the lowest generator in bit 0, so
+    elements 2j and 2j+1 differ by that generator alone.
 
     >>> sorted(fixed_points("S", 3))
     [(1, 2, 3), (1, 3, 2), (2, 1, 3), (3, 1, 2)]
@@ -170,8 +172,7 @@ def fixed_points(kind: str, n: int) -> Iterator[Window]:
         lo, wordkind = 0, "B"
     else:
         raise ValueError("fixed_points supports kinds 'S' and 'B'")
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    check_group(kind, n)
     gens = range(n - 1, lo - 1, -1)
     return (evaluate_word(tuple(k for k in gens if mask >> (k - lo) & 1), wordkind, n)
             for mask in range(1 << max(n - lo, 0)))

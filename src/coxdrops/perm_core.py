@@ -278,10 +278,14 @@ def zdrops(s: Sequence[int]) -> int:
 # entry at position k among the unused choices, in ascending order.
 
 def check_group(kind: str, n: int) -> None:
+    """
+    The one owner of the size rules: S_n, A_n and B_n exist for n >= 0, and
+    S_0, A_0 and B_0 hold the empty window alone; D_n needs n >= 2.
+    """
     if kind not in GROUPS:
         raise ValueError(f"unknown group kind {kind!r}; expected one of {GROUPS}")
-    if n < 1:
-        raise ValueError("n must be >= 1")
+    if n < 0:
+        raise ValueError("n must be >= 0")
     if kind == "D" and n < 2:
         raise ValueError("D_n needs n >= 2")
 

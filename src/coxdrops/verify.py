@@ -317,20 +317,11 @@ def _run_moments(n: int, threads: int):
         full[d] += c
         if not odd:
             even[d] += c
-
-    def mv(c: Counter):
-        tot = sum(c.values())
-        mean = Fraction(sum(k * v for k, v in c.items()), tot)
-        second = Fraction(sum(k * k * v for k, v in c.items()), tot)
-        return mean, second - mean * mean
-
-    mean_s, var_s = mv(full)
+    mean_s, var_s = gp.mean_variance(full)
     if mean_s != Fraction(n * n - 1, 6):
         return f"mean over S_{n} is {mean_s}, not (n^2-1)/6"
-    if n >= 4:
-        mean_a, var_a = mv(even)
-        if (mean_a, var_a) != (mean_s, var_s):
-            return f"A_{n} moments differ from S_{n}"
+    if n >= 4 and gp.mean_variance(even) != (mean_s, var_s):
+        return f"A_{n} moments differ from S_{n}"
     return None
 
 
@@ -425,39 +416,37 @@ CLAIMS: dict[str, tuple[ClaimDef, ...]] = {
 }
 
 
-def claim_names() -> tuple[str, ...]:
-    return tuple(CLAIMS)
+def plan(names: list[str], ns: tuple[int, ...] | None = None,
+         max_n: int | None = None) -> list[tuple[ClaimDef, int]]:
+    """
+    The (part, n) pairs a run of the named claims covers, in run order.
+    Explicit ``ns`` applies to every part of every claim; otherwise each
+    part takes its default sizes, capped at ``max_n``.  No part runs below
+    its smallest default size.
+    """
+    top = max_n if ns is None and max_n is not None else math.inf
+    pairs = []
+    for name in names:
+        if name not in CLAIMS:
+            raise ValueError(f"unknown claim {name!r}; known: {', '.join(CLAIMS)}")
+        for part in CLAIMS[name]:
+            pairs += [(part, n) for n in (part.default_ns if ns is None else ns)
+                      if min(part.default_ns) <= n <= top]
+    return pairs
 
 
 def run_claim(name: str, ns: tuple[int, ...] | None = None, threads: int = 1,
               max_n: int | None = None) -> Iterator[VerificationReport]:
-    """
-    Run one claim, yielding a report per (group, n).  Explicit ``ns`` applies
-    to every part of the claim; ``max_n`` sweeps each part's default range
-    capped at max_n.
-    """
-    if name not in CLAIMS:
-        raise ValueError(f"unknown claim {name!r}; known: {', '.join(CLAIMS)}")
-    for part in CLAIMS[name]:
-        if ns is not None:
-            eff = ns
-        elif max_n is not None:
-            eff = tuple(range(min(part.default_ns),
-                              min(max_n, max(part.default_ns)) + 1))
-        else:
-            eff = part.default_ns
-        for n in eff:
-            if part.group == "D" and n < 2:
-                continue
-            t0 = time.perf_counter()
-            witness = part.runner(n, threads)
-            elapsed = (time.perf_counter() - t0) * 1000.0
-            # every runner sweeps its group once; cfrac at n = 0 counts S_0
-            count = group_order(part.group, n) if n else 1
-            yield VerificationReport(
-                claim=name, group=part.group, n=n,
-                status="fail" if witness else "pass",
-                witness=witness, elapsed_ms=elapsed, count=count)
+    """Run one claim, yielding a report per (group, n) of its :func:`plan`."""
+    for part, n in plan([name], ns, max_n):
+        t0 = time.perf_counter()
+        witness = part.runner(n, threads)
+        elapsed = (time.perf_counter() - t0) * 1000.0
+        # every runner sweeps its group once
+        yield VerificationReport(
+            claim=name, group=part.group, n=n,
+            status="fail" if witness else "pass", witness=witness,
+            elapsed_ms=elapsed, count=group_order(part.group, n))
 
 
 def run_claims(names: list[str] | None = None, ns: tuple[int, ...] | None = None,

@@ -101,6 +101,17 @@ def test_matching_edge_kinds_b():
             assert involution_b(e.lower).output == e.upper
 
 
+@pytest.mark.parametrize("kind, wordkind, low, ns", [
+    ("S", "A", 1, (2, 3, 5)), ("B", "B", 0, (2, 4))])
+def test_fixed_toggle_edges_add_the_lowest_generator(kind, wordkind, low, ns):
+    for n in ns:
+        toggles = [e for e in build_matching(kind, n) if e.kind == "fixed_toggle"]
+        assert len(toggles) == 2 ** (n - low - 1)
+        for e in toggles:
+            lo = canonical_word(e.lower, wordkind).letters
+            assert canonical_word(e.upper, wordkind).letters == lo + (low,)
+
+
 def test_involution_edges_are_one_letter_subwords():
     for kind, wordkind, n in (("S", "A", 5), ("B", "B", 3)):
         for e in build_matching(kind, n):
@@ -130,6 +141,14 @@ def test_matching_needs_two():
         build_matching("S", 1)
     with pytest.raises(ValueError):
         build_matching("D", 3)
+
+
+def test_exports_refuse_kinds_other_than_s_and_b():
+    for call in (lambda: validate_matching([], "X", 3),
+                 lambda: list(hasse_covers("D", 3)),
+                 lambda: matching_to_text([], "A", 3)):
+        with pytest.raises(ValueError, match="^build_matching kinds: 'S', 'B'$"):
+            call()
 
 
 # ---------------------------------------------------------------------------

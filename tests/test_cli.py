@@ -53,6 +53,15 @@ def test_stats_sweep_signed_csv(capsys):
     assert [r["drops_d"] for r in rows] == ["3", "4", "0", "1"]
 
 
+def test_stats_sweep_b1_leaves_drops_d_empty(capsys):
+    code, out = run_cli(capsys, "stats", "--group", "B", "--n", "1")
+    assert code == 0
+    rows = list(csv.DictReader(io.StringIO(out)))
+    assert [r["element"] for r in rows] == ["-1", "1"]
+    assert [r["drops_d"] for r in rows] == ["", ""]
+    assert [r["drops_b"] for r in rows] == ["1", "0"]
+
+
 def test_word_verb(capsys):
     code, out = run_cli(capsys, "word", "--elem", "4,1,5,2,3")
     assert code == 0
@@ -217,6 +226,45 @@ def test_verify_refuses_a_claim_left_without_sizes(capsys, claim, max_n):
         main(["verify", claim, "--max-n", max_n])
     assert exc.value.code == 2
     assert repr(claim) in capsys.readouterr().err
+
+
+def _reports(out):
+    return [json.loads(line) for line in out.strip().splitlines()]
+
+
+def test_verify_at_n_1_skips_the_claims_that_start_at_2(capsys):
+    code, out = run_cli(capsys, "verify", "--n", "1", "--threads", "1",
+                        "--format", "json")
+    docs = _reports(out)
+    assert code == 0 and len(docs) == 12
+    assert all(d["status"] == "pass" and d["n"] == 1 for d in docs)
+    assert {d["claim"] for d in docs}.isdisjoint({"lemma7.2", "thm-typeD"})
+
+
+def test_verify_at_n_0_runs_cfrac_alone(capsys):
+    code, out = run_cli(capsys, "verify", "--n", "0", "--format", "json")
+    (doc,) = _reports(out)
+    assert code == 0
+    assert (doc["claim"], doc["group"], doc["n"], doc["count"]) == ("cfrac", "S", 0, 1)
+
+
+@pytest.mark.parametrize("argv, claim", [
+    (["lemma7.2", "--n", "1"], "lemma7.2"),
+    (["thm1.1", "thm-typeD", "--n", "1"], "thm-typeD"),
+    (["--n", "-1"], "thm1.1"),
+])
+def test_verify_refuses_a_claim_below_its_first_size(capsys, monkeypatch, argv, claim):
+    monkeypatch.setattr(cli, "run_claim", _no_sweep)
+    with pytest.raises(SystemExit) as exc:
+        main(["verify", *argv])
+    assert exc.value.code == 2
+    assert repr(claim) in capsys.readouterr().err
+
+
+def test_verify_max_n_leaves_an_explicit_n_alone(capsys):
+    code, out = run_cli(capsys, "verify", "thm1.3", "--n", "5", "--max-n", "3",
+                        "--threads", "1", "--format", "json")
+    assert code == 0 and [d["n"] for d in _reports(out)] == [5]
 
 
 def test_negative_threads_rejected(capsys):

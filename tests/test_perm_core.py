@@ -440,6 +440,23 @@ def test_enumeration_errors():
         list(pc.iter_group("S", 3, start=7))
 
 
+@pytest.mark.parametrize("kind", ["S", "A", "B"])
+def test_empty_groups_hold_the_empty_window(kind):
+    assert pc.group_order(kind, 0) == 1
+    assert list(pc.iter_group(kind, 0)) == [()]
+    assert pc.rank(kind, ()) == 0 and pc.unrank(kind, 0, 0) == ()
+    assert pc.sweep(kind, 0, len) == {0: 1}
+
+
+@pytest.mark.parametrize("kind, n, message", [
+    ("S", -1, "n must be >= 0"), ("B", -1, "n must be >= 0"),
+    ("D", 1, "D_n needs n >= 2"), ("D", 0, "D_n needs n >= 2"),
+])
+def test_group_size_rules(kind, n, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        pc.group_order(kind, n)
+
+
 def test_counts_match_formulas():
     for n in range(1, 6):
         assert pc.group_order("S", n) == math.factorial(n)

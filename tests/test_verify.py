@@ -1,6 +1,8 @@
+import ast
 import itertools
 import json
 import math
+import pathlib
 
 import pytest
 
@@ -8,12 +10,12 @@ from coxdrops.involutions import (_swap_magnitudes, _swap_positions, _toggle_a,
                                   _toggle_b)
 from coxdrops.laguerre import LaguerreHistory, fz_history, heights, motzkin_shape
 from coxdrops.perm_core import format_window, iter_group, pool_size
-from coxdrops.verify import (CLAIMS, _restricted_area, claim_names, run_claim,
+from coxdrops.verify import (CLAIMS, _restricted_area, plan, run_claim,
                              run_claims)
 
 
 def test_registry_contents():
-    names = claim_names()
+    names = tuple(CLAIMS)
     for required in ("thm1.1", "thm1.3", "cor1.4", "thm-typeB", "thm-typeD",
                      "cfrac", "mad", "weights", "shape", "moments",
                      "lemma7.2"):
@@ -93,6 +95,61 @@ def test_max_n_caps_at_part_defaults():
     # max_n beyond the default range never exceeds it
     reports = list(run_claim("thm-typeD", threads=1, max_n=99))
     assert [r.n for r in reports] == [2, 3, 4, 5, 6]
+
+
+# the (claim, group, first n, last n) of every default run, in report order
+DEFAULT_PLAN = [
+    ("thm1.1", "S", 1, 8), ("thm1.3", "S", 1, 8), ("cor1.4", "S", 1, 8),
+    ("thm-typeB", "B", 1, 6), ("thm-typeD", "D", 2, 6), ("lemma7.2", "B", 2, 6),
+    ("cfrac", "S", 0, 8), ("mad", "S", 1, 8), ("weights", "S", 1, 8),
+    ("shape", "S", 1, 8), ("moments", "S", 1, 8), ("fz", "S", 1, 8),
+    ("invol", "S", 1, 8), ("invol", "B", 1, 6),
+]
+
+
+def _triples(pairs):
+    return [(part.name, part.group, n) for part, n in pairs]
+
+
+def test_default_plan_lists_every_report_in_order():
+    want = [(c, g, n) for c, g, lo, hi in DEFAULT_PLAN for n in range(lo, hi + 1)]
+    assert len(want) == 103
+    assert _triples(plan(list(CLAIMS))) == want
+
+
+def test_default_plan_matches_the_benchmark_scales():
+    # read perfbench/child.py's PAPER_SCALES without importing the harness,
+    # so that a change of default sizes must change the benchmark with it
+    source = (pathlib.Path(__file__).parents[1] / "perfbench" / "child.py").read_text()
+    node = next(node.value for node in ast.parse(source).body
+                if isinstance(node, ast.Assign)
+                and [t.id for t in node.targets] == ["PAPER_SCALES"])
+    scales = eval(compile(ast.Expression(node), "PAPER_SCALES", "eval"),
+                  {"__builtins__": {}, "range": range})
+    assert _triples(plan(list(CLAIMS))) == [(c, g, n) for c, g, ns in scales for n in ns]
+
+
+def test_plan_sizes():
+    # an explicit size applies to every part, but never below its first default
+    assert _triples(plan(list(CLAIMS), ns=(0,))) == [("cfrac", "S", 0)]
+    at_one = _triples(plan(list(CLAIMS), ns=(1,)))
+    assert len(at_one) == 12
+    assert {c for c, _, _ in at_one}.isdisjoint({"lemma7.2", "thm-typeD"})
+    assert plan(list(CLAIMS), ns=(-1,)) == []
+    # max_n caps the defaults and has no effect on explicit sizes
+    assert _triples(plan(["thm-typeD"], max_n=3)) == \
+        [("thm-typeD", "D", 2), ("thm-typeD", "D", 3)]
+    assert _triples(plan(["thm1.3"], ns=(5,), max_n=3)) == [("thm1.3", "S", 5)]
+    assert plan(["thm1.3"], max_n=0) == []
+    with pytest.raises(ValueError, match="unknown claim 'nope'"):
+        plan(["thm1.1", "nope"])
+
+
+def test_claims_below_their_first_size_run_nothing():
+    assert list(run_claim("lemma7.2", ns=(1,))) == []
+    assert list(run_claim("thm-typeD", ns=(0, 1))) == []
+    (report,) = run_claim("cfrac", ns=(0,))
+    assert report.ok and (report.group, report.n, report.count) == ("S", 0, 1)
 
 
 def test_run_claims_subset():
