@@ -5,19 +5,16 @@ involutions, the Laguerre-history encoding, signed enumerators, a
 continued-fraction convergent, and the induced Bruhat-order matching.
 """
 
-from .perm_core import (GROUPS, StatBundle, depth, des, drops, drops_b,
-                        drops_d, exc, format_window, group_order, identity,
-                        in_type_d, inv, inv_a, inv_b, inv_d, inverse, iexc,
-                        iter_group, negs, nsum, parse_window, rank,
-                        reverse_complement, spearman, unrank, zdrops)
-from .reduced_words import (CanonicalWord, IntermediateSequence,
-                            canonical_word, canonical_word_a,
-                            canonical_word_b, classify_factor_b,
-                            evaluate_word, intermediates, ird_and_ascents,
-                            parse_word_text, word_to_text)
-from .involutions import (InvolutionReport, differing_transposition,
-                          fixed_points, involution_a, involution_b,
-                          pair_map_bd, pair_map_d)
+from .perm_core import (GROUPS, depth, des, drops, drops_b, drops_d, exc,
+                        format_window, group_order, identity, in_type_d, inv,
+                        inv_a, inv_b, inv_d, inverse, iexc, iter_group, negs,
+                        nsum, parse_window, rank, reverse_complement,
+                        spearman, unrank, zdrops)
+from .reduced_words import (CanonicalWord, canonical_word, canonical_word_a,
+                            canonical_word_b, evaluate_word, ird_and_ascents,
+                            word_to_text)
+from .involutions import (InvolutionReport, fixed_points, involution_a,
+                          involution_b, pair_map_bd, pair_map_d)
 from .laguerre import (LaguerreHistory, area, cyclic_classify,
                        even_subset_to_path, fz_history, heights,
                        laguerre_histories, max_height, motzkin_paths,
@@ -29,8 +26,7 @@ from .genpoly import (MultiPoly, TruncatedSeries, dep_inv_poly,
                       per_path_enumerator, q_integer, right_embracings,
                       signed_drops, signed_trivariate)
 from .bruhat import (MatchingEdge, bruhat_leq, build_matching, hasse_covers,
-                     matching_to_dot, matching_to_text, subword_leq,
-                     validate_matching)
+                     matching_to_dot, matching_to_text, validate_matching)
 from .verify import CLAIMS, VerificationReport, run_claim, run_claims
 
 __version__ = "0.1.0"

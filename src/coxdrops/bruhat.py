@@ -12,14 +12,13 @@ in the test suite.
 from __future__ import annotations
 
 import bisect
-import itertools
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
 from .involutions import fixed_points, involution_a, involution_b
 from .perm_core import (Window, format_window, group_order, inv, inv_b,
                         is_unsigned, iter_group)
-from .reduced_words import canonical_word, evaluate_word
+from .reduced_words import canonical_word
 
 
 # ---------------------------------------------------------------------------
@@ -69,25 +68,6 @@ def bruhat_leq(u: Sequence[int], v: Sequence[int], kind: str | None = None) -> b
     if kind == "B":
         return _prefix_dominated(_embed_b(u), _embed_b(v))
     raise ValueError("bruhat_leq kinds: 'S', 'B'")
-
-
-def subword_leq(u: Sequence[int], v: Sequence[int], kind: str) -> bool:
-    """
-    The defining criterion, by brute force: some subword of a reduced word
-    of v, of full length inv(u), evaluates to u.  Exponential; used as the
-    oracle that validates :func:`bruhat_leq` at small n.
-    """
-    wordkind = "A" if kind == "S" else "B"
-    n = len(u)
-    wu = canonical_word(tuple(u), wordkind).letters
-    wv = canonical_word(tuple(v), wordkind).letters
-    if len(wu) > len(wv):
-        return False
-    target = tuple(u)
-    for idxs in itertools.combinations(range(len(wv)), len(wu)):
-        if evaluate_word(tuple(wv[i] for i in idxs), wordkind, n) == target:
-            return True
-    return False
 
 
 # ---------------------------------------------------------------------------

@@ -24,14 +24,21 @@ from .reduced_words import canonical_word, ird_and_ascents
 from .verify import CLAIMS, plan, run_claim
 
 
-# the most elements `verify --n` sweeps per group without --force: B_8
-# (10,321,920) runs, S_11 (39,916,800) does not
-VERIFY_BUDGET = 2 * 10 ** 7
+# the most elements a verb sweeps per group (`verify --force` lifts it):
+# B_8 (10,321,920) runs, S_11 (39,916,800) does not
+SWEEP_BUDGET = 2 * 10 ** 7
 
 
 def _die(message: str) -> "SystemExit":
     print(f"error: {message}", file=sys.stderr)
     return SystemExit(2)
+
+
+def _check_budget(what: str, group: str, n: int, hint: str = "") -> None:
+    size = pc.group_order(group, n)
+    if size > SWEEP_BUDGET:
+        raise _die(f"{what} would sweep {group}_{n} ({size:,} elements), over "
+                   f"the {SWEEP_BUDGET:,}-element budget{hint}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -51,46 +58,40 @@ def _table(rows: list[tuple[str, object]]) -> str:
 # verbs
 # ---------------------------------------------------------------------------
 
+def _drops_d(s: pc.Window) -> int | None:
+    return pc.drops_d(s) if len(s) >= 2 else None
+
+
+# the columns of `stats`, for unsigned and for signed windows
+_UNSIGNED_STATS = (("inv", pc.inv), ("des", pc.des), ("exc", pc.exc),
+                   ("iexc", pc.iexc), ("drops", pc.drops), ("depth", pc.depth),
+                   ("spearman", pc.spearman), ("mad", gp.mad), ("nest", nest))
+_SIGNED_STATS = (("inv_b", pc.inv_b), ("inv_d", pc.inv_d),
+                 ("drops_b", pc.drops_b), ("drops_d", _drops_d),
+                 ("zdrops", pc.zdrops), ("nsum", pc.nsum),
+                 ("negs", lambda s: len(pc.negs(s))))
+
+
 def _cmd_stats(args) -> int:
     if args.elem:
         w = pc.parse_window(args.elem)
-        if pc.is_unsigned(w):
-            b = pc.StatBundle.of(w)
-            rows = [("element", pc.format_window(w)), ("inv", b.inv),
-                    ("des", b.des), ("exc", b.exc), ("iexc", b.iexc),
-                    ("drops", b.drops), ("depth", b.depth),
-                    ("spearman", b.spearman), ("mad", gp.mad(w)),
-                    ("nest", nest(w))]
-        else:
-            rows = [("element", pc.format_window(w)),
-                    ("inv_b", pc.inv_b(w)), ("inv_d", pc.inv_d(w)),
-                    ("drops_b", pc.drops_b(w)), ("zdrops", pc.zdrops(w)),
-                    ("nsum", pc.nsum(w)), ("negs", len(pc.negs(w)))]
-            if len(w) >= 2:
-                rows.insert(5, ("drops_d", pc.drops_d(w)))
+        stats = _UNSIGNED_STATS if pc.is_unsigned(w) else _SIGNED_STATS
+        rows = [("element", pc.format_window(w))]
+        rows += [(name, f(w)) for name, f in stats]
         if args.format == "json":
             _emit(json.dumps(dict(rows)), args.out)
         else:
-            _emit(_table(rows), args.out)
+            _emit(_table([(k, "" if v is None else v) for k, v in rows]), args.out)
         return 0
     if args.n is None:
         raise _die("stats: need --elem or --n")
+    _check_budget("stats", args.group, args.n)
+    stats = _UNSIGNED_STATS if args.group in ("S", "A") else _SIGNED_STATS
     buf = io.StringIO()
     writer = csv.writer(buf)
-    if args.group in ("S", "A"):
-        writer.writerow(["element", "inv", "des", "exc", "iexc", "drops",
-                         "depth", "mad", "nest"])
-        for w in pc.iter_group(args.group, args.n):
-            writer.writerow([pc.format_window(w), pc.inv(w), pc.des(w),
-                             pc.exc(w), pc.iexc(w), pc.drops(w), pc.depth(w),
-                             gp.mad(w), nest(w)])
-    else:
-        writer.writerow(["element", "inv_b", "inv_d", "drops_b", "drops_d",
-                         "zdrops", "nsum", "negs"])
-        for w in pc.iter_group(args.group, args.n):
-            writer.writerow([pc.format_window(w), pc.inv_b(w), pc.inv_d(w),
-                             pc.drops_b(w), pc.drops_d(w) if args.n >= 2 else "",
-                             pc.zdrops(w), pc.nsum(w), len(pc.negs(w))])
+    writer.writerow(["element"] + [name for name, _ in stats])
+    for w in pc.iter_group(args.group, args.n):
+        writer.writerow([pc.format_window(w)] + [f(w) for _, f in stats])
     _emit(buf.getvalue().rstrip("\n"), args.out)
     return 0
 
@@ -201,7 +202,7 @@ def _cmd_cfrac(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    names = args.claims or list(CLAIMS)
+    names = list(dict.fromkeys(args.claims)) or list(CLAIMS)
     ns = (args.n,) if args.n is not None else None
     try:
         runs = plan(names, ns, args.max_n)
@@ -213,12 +214,10 @@ def _cmd_verify(args) -> int:
     if empty and (args.claims or not runs):
         low = min(min(part.default_ns) for part in CLAIMS[empty[0]])
         raise _die(f"claim {empty[0]!r} has no size to run: it starts at n = {low}")
-    for part, n in runs:
-        size = pc.group_order(part.group, n)
-        if size > VERIFY_BUDGET and not args.force:
-            raise _die(f"verify {part.name} would sweep {part.group}_{n} "
-                       f"({size:,} elements), over the {VERIFY_BUDGET:,}-"
-                       f"element budget; pass --force to run it anyway")
+    if not args.force:
+        for part, n in runs:
+            _check_budget(f"verify {part.name}", part.group, n,
+                          "; pass --force to run it anyway")
     if args.threads < 0:
         raise _die(f"--threads must be >= 0 (0 means all cores), got {args.threads}")
     threads = args.threads if args.threads else (os.cpu_count() or 1)
@@ -239,6 +238,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_match(args) -> int:
+    _check_budget("match", args.group, args.n)
     edges = build_matching(args.group, args.n)
     report = validate_matching(edges, args.group, args.n)
     if args.dot:
@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="worker processes (default: all cores)")
     p.add_argument("--force", action="store_true",
                    help=f"run an explicit --n even when a group has more "
-                        f"than {VERIFY_BUDGET:,} elements")
+                        f"than {SWEEP_BUDGET:,} elements")
     p.set_defaults(func=_cmd_verify)
 
     p = common(sub.add_parser("match", help="Bruhat-order matching and DOT export"))

@@ -96,22 +96,6 @@ def involution_a(p: Sequence[int]) -> InvolutionReport:
                             changed_factor_index=d, transposition=(p[ia], p[ib]))
 
 
-def differing_transposition(p: Sequence[int]) -> tuple[int, int]:
-    """
-    The value pair (a, b) whose swap carries the involution image back to p.
-    a and b sit at positions d, d+1 of the intermediate element above the
-    toggled stage d, and satisfy a >= d+1, b >= d+2.  Rejects fixed points.
-
-    >>> differing_transposition((4, 1, 5, 2, 3))
-    (4, 5)
-    """
-    p = validate_permutation(p)
-    hit = _toggle_a(p)
-    if hit is None:
-        raise ValueError(f"{format_window(p)} is a fixed point; no transposition")
-    return p[hit[1]], p[hit[2]]
-
-
 def _toggle_b(s: Window) -> tuple[int, int, int] | None:
     # (toggled stage, positions of the two magnitudes to swap), or None at a
     # fixed point

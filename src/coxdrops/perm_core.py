@@ -21,7 +21,6 @@ import math
 import operator
 import os
 from collections import Counter
-from dataclasses import dataclass
 from typing import Callable, Hashable, Iterator, Sequence
 
 Window = tuple[int, ...]
@@ -177,24 +176,6 @@ def reverse_complement(p: Sequence[int]) -> Window:
     """
     n = len(p)
     return tuple(n + 1 - p[n - i] for i in range(1, n + 1))
-
-
-@dataclass(frozen=True)
-class StatBundle:
-    """All scalar S_n statistics of one permutation."""
-    inv: int
-    des: int
-    exc: int
-    iexc: int
-    drops: int
-    depth: int
-    spearman: int
-
-    @classmethod
-    def of(cls, p: Sequence[int]) -> "StatBundle":
-        d = depth(p)
-        return cls(inv=inv(p), des=des(p), exc=exc(p), iexc=iexc(p),
-                   drops=drops(p), depth=d, spearman=2 * d)
 
 
 # ---------------------------------------------------------------------------

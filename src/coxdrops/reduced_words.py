@@ -19,8 +19,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .perm_core import (Window, identity, validate_permutation,
-                        validate_signed)
+from .perm_core import Window, validate_permutation, validate_signed
+
+__all__ = ["CanonicalWord", "canonical_word", "canonical_word_a",
+           "canonical_word_b", "evaluate_word", "ird_and_ascents",
+           "word_to_text"]
 
 Letters = tuple[int, ...]
 
@@ -61,21 +64,11 @@ class CanonicalWord:
     The factorized canonical reduced word of one group element.
 
     ``factors`` is stored leftmost first, i.e. factors[0] is the factor of
-    the highest stage index.  ``factor(i)`` retrieves the stage-i factor.
+    the highest stage index (n-1 in type A, n in type B).
     """
     kind: str               # "A" or "B"
     n: int
     factors: tuple[Letters, ...]
-
-    @property
-    def top(self) -> int:
-        """Highest stage index: n-1 in type A, n in type B."""
-        return self.n - 1 if self.kind == "A" else self.n
-
-    def factor(self, i: int) -> Letters:
-        if not 1 <= i <= self.top:
-            raise ValueError(f"no factor with stage index {i}")
-        return self.factors[self.top - i]
 
     @property
     def letters(self) -> Letters:
@@ -91,9 +84,6 @@ class CanonicalWord:
 
     def __len__(self) -> int:
         return sum(len(f) for f in self.factors)
-
-    def evaluate(self) -> Window:
-        return evaluate_word(self.letters, self.kind, self.n)
 
     def __str__(self) -> str:
         return word_to_text(self)
@@ -162,7 +152,7 @@ def canonical_word(window: Sequence[int], kind: str) -> CanonicalWord:
 
 
 # ---------------------------------------------------------------------------
-# index sequences and intermediate elements
+# index sequences
 # ---------------------------------------------------------------------------
 
 def ird_and_ascents(word: CanonicalWord) -> tuple[Letters, tuple[int, ...]]:
@@ -180,142 +170,11 @@ def ird_and_ascents(word: CanonicalWord) -> tuple[Letters, tuple[int, ...]]:
     return letters, ascents
 
 
-@dataclass(frozen=True)
-class IntermediateSequence:
-    """
-    Prefix products w_top, ..., w_1 of the canonical factors, starting from
-    the identity (index top = n in type A, n+1 in type B) and ending at the
-    element itself (index 1).  Entries need not be distinct.
-    """
-    top: int
-    elems: tuple[Window, ...]     # elems[0] = identity = w_top
-
-    def at(self, i: int) -> Window:
-        if not 1 <= i <= self.top:
-            raise ValueError(f"intermediate index {i} out of range")
-        return self.elems[self.top - i]
-
-
-def intermediates(word: CanonicalWord) -> IntermediateSequence:
-    """
-    >>> intermediates(canonical_word_b((3, 1, -5, 2, -4))).at(5)
-    (1, 2, 3, 5, -4)
-    """
-    w = list(identity(word.n))
-    elems = [tuple(w)]
-    for f in word.factors:
-        for k in f:
-            if k == 0:
-                w[0] = -w[0]
-            else:
-                w[k - 1], w[k] = w[k], w[k - 1]
-        elems.append(tuple(w))
-    return IntermediateSequence(word.top + 1, tuple(elems))
-
-
 # ---------------------------------------------------------------------------
-# type-B factor structure
-# ---------------------------------------------------------------------------
-
-def near_maximal_u(i: int) -> Letters:
-    """The longest element of the stage-i section: s_{i-1}..s_1 s_0 s_1..s_{i-1}."""
-    return tuple(range(i - 1, 0, -1)) + (0,) + tuple(range(1, i))
-
-
-def near_maximal_v(i: int) -> Letters:
-    """One letter shorter: s_{i-2}..s_1 s_0 s_1..s_{i-1}."""
-    return tuple(range(i - 2, 0, -1)) + (0,) + tuple(range(1, i))
-
-
-def in_section_a(factor: Letters, i: int) -> bool:
-    """Structural membership of a type-A stage-i factor: empty or an
-    ascending run ending at s_i."""
-    if factor == ():
-        return True
-    j = factor[0]
-    return 1 <= j <= i and factor == tuple(range(j, i + 1))
-
-
-def in_section_b(factor: Letters, i: int) -> bool:
-    """Structural membership of a type-B stage-i factor."""
-    if factor == ():
-        return True
-    if 0 not in factor:
-        j = factor[0]
-        return 1 <= j <= i - 1 and factor == tuple(range(j, i))
-    j = factor[0]
-    if j == 0:
-        return factor == (0,) + tuple(range(1, i))
-    return (1 <= j <= i - 1
-            and factor == tuple(range(j, 0, -1)) + (0,) + tuple(range(1, i)))
-
-
-def classify_factor_b(factor: Sequence[int], i: int) -> str:
-    """
-    Tag a type-B stage-i factor: 'empty', 'short' (one letter), 'nml_u',
-    'nml_v' (the two near-maximal-length elements), or 'other'.
-
-    >>> classify_factor_b((3, 2, 1, 0, 1, 2, 3, 4), 5)
-    'nml_v'
-    >>> classify_factor_b((2, 3), 4)
-    'other'
-    """
-    factor = tuple(factor)
-    if not in_section_b(factor, i):
-        raise ValueError(f"{factor} is not a stage-{i} type-B factor")
-    if factor == ():
-        return "empty"
-    if len(factor) == 1:
-        return "short"
-    if i >= 2 and factor == near_maximal_u(i):
-        return "nml_u"
-    if i >= 2 and factor == near_maximal_v(i):
-        return "nml_v"
-    return "other"
-
-
-# ---------------------------------------------------------------------------
-# word text format
+# word text format (output only)
 # ---------------------------------------------------------------------------
 
 def word_to_text(word: CanonicalWord) -> str:
     """Render as bracketed factors of s<k> tokens, e.g. ``[s3 s4][s2 s3][][s1]``."""
     return "".join("[" + " ".join(f"s{k}" for k in f) + "]" for f in word.factors)
 
-
-def parse_word_text(text: str) -> tuple[Letters, tuple[Letters, ...] | None]:
-    """
-    Parse whitespace-separated ``s<k>`` tokens with optional ``[``/``]``
-    factor markers.  Returns (letters, factors); factors is None when the
-    input carried no brackets.
-
-    >>> parse_word_text("[s3 s4][s2 s3][][s1]")[0]
-    (3, 4, 2, 3, 1)
-    >>> parse_word_text("s0 s1")
-    ((0, 1), None)
-    """
-    has_brackets = "[" in text or "]" in text
-    factors: list[list[int]] = []
-    current: list[int] | None = None if has_brackets else []
-    if not has_brackets:
-        factors.append(current)
-    for tok in text.replace("[", " [ ").replace("]", " ] ").split():
-        if tok == "[":
-            if current is not None and has_brackets:
-                raise ValueError("nested '[' in word text")
-            current = []
-            factors.append(current)
-        elif tok == "]":
-            if current is None:
-                raise ValueError("unmatched ']' in word text")
-            current = None
-        elif tok.startswith("s") and tok[1:].isdigit():
-            if current is None:
-                raise ValueError(f"letter {tok!r} outside factor brackets")
-            current.append(int(tok[1:]))
-        else:
-            raise ValueError(f"bad token {tok!r} in word text")
-    if has_brackets and current is not None:
-        raise ValueError("unterminated '[' in word text")
-    letters = tuple(k for f in factors for k in f)
-    return letters, (tuple(tuple(f) for f in factors) if has_brackets else None)

@@ -13,10 +13,11 @@ from contextlib import contextmanager
 from fractions import Fraction
 
 from coxdrops import perm_core as pc
-from coxdrops.bruhat import bruhat_leq, build_matching, subword_leq, validate_matching
+from coxdrops.bruhat import bruhat_leq, build_matching, validate_matching
 from coxdrops.genpoly import (MultiPoly, dep_inv_poly, drops_moments,
                               jfraction_convergent)
 from coxdrops.verify import run_claim
+from word_oracles import subword_leq
 
 THREADS = os.cpu_count() or 1
 

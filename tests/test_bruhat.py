@@ -5,9 +5,10 @@ import pytest
 from coxdrops import perm_core as pc
 from coxdrops.bruhat import (MatchingEdge, bruhat_leq, build_matching,
                              hasse_covers, matching_to_dot, matching_to_text,
-                             subword_leq, validate_matching)
+                             validate_matching)
 from coxdrops.involutions import involution_a, involution_b
 from coxdrops.reduced_words import canonical_word
+from word_oracles import subword_leq
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,7 @@ import math
 
 import pytest
 
-from coxdrops import cli
+from coxdrops import bruhat, cli
 from coxdrops.cli import main
 
 
@@ -60,6 +60,21 @@ def test_stats_sweep_b1_leaves_drops_d_empty(capsys):
     assert [r["element"] for r in rows] == ["-1", "1"]
     assert [r["drops_d"] for r in rows] == ["", ""]
     assert [r["drops_b"] for r in rows] == ["1", "0"]
+
+
+@pytest.mark.parametrize("group, elem", [("S", "2,3,1"), ("B", "-2,3,1")])
+def test_stats_elem_keys_match_the_csv_header(capsys, group, elem):
+    _, out = run_cli(capsys, "stats", f"--elem={elem}", "--format", "json")
+    keys = list(json.loads(out))
+    _, out = run_cli(capsys, "stats", "--group", group, "--n", "3")
+    assert keys == next(csv.reader(io.StringIO(out)))
+
+
+def test_stats_elem_b1_leaves_drops_d_empty(capsys):
+    _, out = run_cli(capsys, "stats", "--elem=-1", "--format", "json")
+    assert json.loads(out)["drops_d"] is None
+    _, out = run_cli(capsys, "stats", "--elem=-1")
+    assert "drops_d" in out and "None" not in out
 
 
 def test_word_verb(capsys):
@@ -147,6 +162,14 @@ def test_verify_single_claim(capsys):
 def test_verify_unknown_claim(capsys):
     with pytest.raises(SystemExit):
         main(["verify", "nonsense"])
+
+
+def test_verify_runs_a_repeated_claim_once(capsys):
+    code, out = run_cli(capsys, "verify", "thm1.3", "thm1.1", "thm1.3", "--n", "3",
+                        "--threads", "1", "--format", "json")
+    assert code == 0
+    assert [(d["claim"], d["group"]) for d in _reports(out)] == \
+        [("thm1.3", "S"), ("thm1.1", "S")]
 
 
 def test_verify_table_format(capsys):
@@ -321,3 +344,17 @@ def test_verify_runs_within_budget_or_forced(capsys, monkeypatch):
     assert main(["verify", "cfrac", "--n", "0"]) == 0
     assert main(["verify", "cfrac", "--n", "12", "--force"]) == 0
     assert calls == [("invol", (8,)), ("cfrac", (0,)), ("cfrac", (12,))]
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["stats", "--group", "S", "--n", "11"], "stats would sweep S_11 (39,916,800 elements)"),
+    (["match", "--group", "B", "--n", "9"], "match would sweep B_9 (185,794,560 elements)"),
+])
+def test_sweeping_verbs_refuse_a_group_over_budget(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(cli.pc, "iter_group", _no_sweep)
+    monkeypatch.setattr(bruhat, "iter_group", _no_sweep)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert message in err and "--force" not in err

@@ -6,12 +6,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxdrops import perm_core as pc
-from coxdrops.involutions import (InvolutionReport, differing_transposition,
-                                  fixed_points, involution_a, involution_b,
-                                  pair_map_bd, pair_map_d)
+from coxdrops.involutions import (InvolutionReport, fixed_points,
+                                  involution_a, involution_b, pair_map_bd,
+                                  pair_map_d)
 from coxdrops.reduced_words import (canonical_word_a, canonical_word_b,
-                                    evaluate_word, ird_and_ascents,
-                                    near_maximal_u, near_maximal_v)
+                                    evaluate_word, ird_and_ascents)
+from word_oracles import near_maximal_u, near_maximal_v, stage_factor, top_stage
 
 
 # ---------------------------------------------------------------------------
@@ -20,8 +20,8 @@ from coxdrops.reduced_words import (canonical_word_a, canonical_word_b,
 # ---------------------------------------------------------------------------
 
 def _smallest_long_stage(word):
-    for i in range(1, word.top + 1):
-        if len(word.factor(i)) >= 2:
+    for i in range(1, top_stage(word) + 1):
+        if len(stage_factor(word, i)) >= 2:
             return i
     return None
 
@@ -29,7 +29,7 @@ def _smallest_long_stage(word):
 def _evaluate_toggled(word, stage, letter):
     # toggle the stage factor between empty and the single letter
     factors = list(word.factors)
-    idx = word.top - stage
+    idx = top_stage(word) - stage
     factors[idx] = () if factors[idx] else (letter,)
     return evaluate_word(tuple(k for f in factors for k in f), word.kind, word.n)
 
@@ -42,8 +42,8 @@ def oracle_transposition(p):
     if t is None:
         return None
     d = t - 1
-    w = evaluate_word(tuple(k for f in word.factors[:word.top - d] for k in f),
-                      "A", word.n)
+    top = top_stage(word)
+    w = evaluate_word(tuple(k for f in word.factors[:top - d] for k in f), "A", word.n)
     return w[d - 1], w[d]
 
 
@@ -61,11 +61,11 @@ def oracle_a(p):
 def oracle_b(s):
     word = canonical_word_b(s)
     for i in range(word.n, 1, -1):             # leftmost = largest stage
-        f = word.factor(i)
+        f = stage_factor(word, i)
         u, v = near_maximal_u(i), near_maximal_v(i)
         if f == u or f == v:
             factors = list(word.factors)
-            factors[word.top - i] = v if f == u else u
+            factors[top_stage(word) - i] = v if f == u else u
             out = evaluate_word(tuple(k for g in factors for k in g), "B", word.n)
             return InvolutionReport(s, out, False, changed_factor_index=i)
     t = _smallest_long_stage(word)
@@ -107,11 +107,10 @@ def test_report_serialization():
 
 
 def test_differing_transposition_examples():
-    assert differing_transposition((4, 1, 5, 2, 3)) == (4, 5)
-    with pytest.raises(ValueError):
-        differing_transposition((2, 1, 3))      # fixed point
-    with pytest.raises(ValueError):
-        differing_transposition((1, 3, 2))      # also fixed: word is [s2][]
+    assert involution_a((4, 1, 5, 2, 3)).transposition == (4, 5)
+    for fixed in ((2, 1, 3), (1, 3, 2)):        # (1, 3, 2) has word [s2][]
+        rep = involution_a(fixed)
+        assert rep.fixed and rep.transposition is None
 
 
 def test_transposition_bounds_exhaustive_s4_s5(groups):
@@ -120,14 +119,14 @@ def test_transposition_bounds_exhaustive_s4_s5(groups):
             rep = involution_a(w)
             if rep.fixed:
                 continue
-            a, b = differing_transposition(w)
+            a, b = rep.transposition
             d = rep.changed_factor_index
             assert a >= d + 1 and b >= d + 2
             # the swap carries the image back to the input
             back = tuple(a if v == b else b if v == a else v for v in rep.output)
             assert back == w
             # the same pair is produced from either end of the edge
-            assert differing_transposition(rep.output) == (a, b)
+            assert involution_a(rep.output).transposition == (a, b)
 
 
 # ---------------------------------------------------------------------------
@@ -141,8 +140,6 @@ def test_window_maps_equal_word_oracle_s8(groups):
             rep = involution_a(w)
             assert rep == oracle_a(w)
             assert rep.fixed == oracle_fixed(canonical_word_a(w))
-            if not rep.fixed:
-                assert differing_transposition(w) == oracle_transposition(w)
 
 
 @pytest.mark.slow
@@ -185,11 +182,10 @@ def test_involution_b_property_large_n(perm_signs):
 
 
 def test_window_maps_validate_input():
-    for fn in (involution_a, differing_transposition):
-        with pytest.raises(ValueError):
-            fn((1, -2))
-        with pytest.raises(ValueError):
-            fn((1, 1))
+    with pytest.raises(ValueError):
+        involution_a((1, -2))
+    with pytest.raises(ValueError):
+        involution_a((1, 1))
     with pytest.raises(ValueError):
         involution_b((2, -2))
 

@@ -84,10 +84,11 @@ def test_reverse_complement(w, want):
     assert pc.reverse_complement(w) == want
 
 
-def test_stat_bundle():
-    b = pc.StatBundle.of((4, 1, 5, 2, 3))
-    assert (b.inv, b.des, b.exc, b.iexc, b.drops, b.depth) == (5, 2, 2, 3, 6, 5)
-    assert b.spearman == 2 * b.depth
+def test_scalar_stats_example():
+    p = (4, 1, 5, 2, 3)
+    assert (pc.inv(p), pc.des(p), pc.exc(p), pc.iexc(p), pc.drops(p),
+            pc.depth(p)) == (5, 2, 2, 3, 6, 5)
+    assert pc.spearman(p) == 2 * pc.depth(p)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,21 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def test_package_imports_only_the_standard_library():
+    # a fresh interpreter, so modules the test run already loaded do not hide
+    # a stray third-party import
+    code = ("import sys; before = set(sys.modules); import coxdrops, coxdrops.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": str(SRC)})
+    assert proc.returncode == 0, proc.stderr
+    loaded = proc.stdout.split()
+    assert "coxdrops.cli" in loaded
+    outside = [m for m in loaded if m.split(".")[0] != "coxdrops"
+               and m.split(".")[0] not in sys.stdlib_module_names]
+    assert outside == []
