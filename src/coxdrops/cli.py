@@ -18,14 +18,16 @@ from . import perm_core as pc
 from .bruhat import (build_matching, matching_to_dot, matching_to_text,
                      validate_matching)
 from .involutions import involution_a, involution_b
-from .laguerre import (area, fz_history, heights, max_height, motzkin_paths,
-                       nest, path_weight, is_valid_path, STEPS_MOTZKIN)
+from .laguerre import (area, fz_history, heights, max_height, motzkin_number,
+                       motzkin_paths, nest, path_weight, is_valid_path,
+                       STEPS_MOTZKIN)
 from .reduced_words import canonical_word, ird_and_ascents
 from .verify import CLAIMS, plan, run_claim
 
 
 # the most elements a verb sweeps per group (`verify --force` lifts it):
-# B_8 (10,321,920) runs, S_11 (39,916,800) does not
+# B_8 (10,321,920) runs, S_11 (39,916,800) does not.  It also bounds the
+# steps of a `poly` transfer and the paths `path --n` lists.
 SWEEP_BUDGET = 2 * 10 ** 7
 
 
@@ -34,11 +36,22 @@ def _die(message: str) -> "SystemExit":
     return SystemExit(2)
 
 
-def _check_budget(what: str, group: str, n: int, hint: str = "") -> None:
-    size = pc.group_order(group, n)
+def _within_budget(what: str, size: int, unit: str, hint: str = "") -> None:
     if size > SWEEP_BUDGET:
-        raise _die(f"{what} would sweep {group}_{n} ({size:,} elements), over "
-                   f"the {SWEEP_BUDGET:,}-element budget{hint}")
+        raise _die(f"{what} ({size:,} {unit}s), over the "
+                   f"{SWEEP_BUDGET:,}-{unit} budget{hint}")
+
+
+def _check_budget(what: str, group: str, n: int, hint: str = "",
+                  transfer: bool = False) -> None:
+    # a sweep visits every element; a transfer is sized by its steps
+    # between subset states (genpoly.transitions)
+    if transfer:
+        _within_budget(f"{what} would run a transfer over {group}_{n}",
+                       gp.transitions(group, n), "transition", hint)
+    else:
+        _within_budget(f"{what} would sweep {group}_{n}",
+                       pc.group_order(group, n), "element", hint)
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -157,6 +170,8 @@ def _cmd_path(args) -> int:
         return 0
     if args.n is None:
         raise _die("path: need --path or --n")
+    _within_budget(f"path would list the Motzkin paths of length {args.n}",
+                   motzkin_number(args.n), "path")
     buf = io.StringIO()
     writer = csv.writer(buf)
     writer.writerow(["path", "weight", "area", "max_height"])
@@ -169,6 +184,11 @@ def _cmd_path(args) -> int:
 
 def _cmd_poly(args) -> int:
     which = args.which
+    if which != "per-path":
+        # drops-mad is the one enumerator that still sweeps its group
+        group = args.group if which in ("signed-drops", "drops") else "S"
+        _check_budget(f"poly --which {which}", group, args.n,
+                      transfer=which != "drops-mad")
     if which == "trivariate":
         poly = gp.signed_trivariate(args.n)
     elif which == "signed-drops":

@@ -1,6 +1,7 @@
 """
-Exact sparse polynomials in (t, p, q, x) and the signed/unsigned statistic
-enumerators built from exhaustive group sweeps.
+Exact sparse polynomials in (t, p, q, x), the signed and unsigned statistic
+enumerators, summed by a transfer over subset states rather than over the
+elements of a group, and the continued-fraction convergent.
 
 Coefficients are Python ints (arbitrary precision); every identity here is
 an exact equality of coefficient dictionaries, never a numeric comparison.
@@ -222,13 +223,16 @@ def q_integer(k: int) -> MultiPoly:
 
 
 # ---------------------------------------------------------------------------
-# enumerators over full groups
+# enumerators over full groups: the subset transfer
 # ---------------------------------------------------------------------------
 #
-# Each enumerator is a perm_core.sweep with a key hook mapping an element to
-# its signed monomial (a, b, c, d, s); verify sweeps the same hooks.  Hooks
-# built from additive statistics are marked so that sweep counts them a
-# block at a time (see coxdrops.additive).
+# An enumerator is a transfer over the subset states of Held and Karp
+# (Stanley, EC I, section 4.7): windows grow left to right, and a prefix
+# affects the rest of its signed monomial only through the magnitudes it
+# uses, its last entry and, in D_n, the parity of its negatives.  The key
+# hooks below give the monomial (a, b, c, d, s) of a whole element; verify
+# sweeps them (a block at a time, see coxdrops.additive), and the tests
+# hold each transfer to a sweep of its hook.
 
 @block_additive
 def trivariate_key(w: Sequence[int]) -> tuple[int, ...]:
@@ -268,6 +272,80 @@ def _drops_mad_key(w):
     return 0, 0, mad(w), pc.drops(w), 0
 
 
+# The same monomials a step at a time: what placing entry v at position i
+# after the entry prev adds, where `above` counts the magnitudes placed
+# before v that exceed |v|.  A window starts after the virtual entry 0,
+# drops_b's prefix.  (-1)^inv_b is the sign of |s| times (-1)^#negatives,
+# (-1)^inv_d the sign of |s|, and drops_d's virtual entry -s_2 is charged
+# when s_2 is placed.
+_STEPS = {
+    "trivariate": lambda i, prev, v, above: (
+        v > i, max(v - i, 0), max(prev - v, 0), 0, above),
+    "S": lambda i, prev, v, above: (0, 0, max(prev - v, 0), 0, above),
+    "B": lambda i, prev, v, above: (0, 0, max(prev - v, 0), 0, above + (v < 0)),
+    "D": lambda i, prev, v, above: (
+        0, 0, (i > 1) * max(prev - v, 0) + (i == 2) * max(-v - prev, 0), 0, above),
+    "unsigned": lambda i, prev, v, above: (0, 0, max(prev - v, 0), 0, 0),
+    "dep-inv": lambda i, prev, v, above: (0, 0, above, max(v - i, 0), 0),
+}
+
+# exponents are packed 15 bits a variable while they are summed
+_BITS = 15
+_FIELD = (1 << _BITS) - 1
+
+
+def transitions(kind: str, n: int) -> int:
+    """
+    The size of a transfer: about 2^n n states times n steps out of each,
+    with both signs of a magnitude counted in B_n and D_n.
+
+    >>> transitions("S", 9), transitions("B", 7)
+    (41472, 25088)
+    """
+    pc.check_group(kind, n)
+    return (2 * n if kind in ("B", "D") else n) ** 2 << n
+
+
+def _transfer(kind: str, n: int, stat: str, last: bool = True) -> MultiPoly:
+    # the sum over the group of the signed monomials _STEPS[stat] builds,
+    # with the sign netted into the coefficients and no zero kept; a step
+    # that never reads prev passes last=False.  Each level is emptied as
+    # the next one fills.
+    pc.check_group(kind, n)
+    step = _STEPS[stat]
+    signed = kind in ("B", "D")
+    entries = [v for a in range(1, n + 1) for v in ((-a, a) if signed else (a,))]
+    level = {(0, 0, 0): {0: 1}}                # (used bits, last entry, odd negatives)
+    for i in range(1, n + 1):
+        nxt: dict[tuple, dict[int, int]] = {}
+        while level:
+            (used, prev, odd), poly = level.popitem()
+            for v in entries:
+                if used >> abs(v) & 1:
+                    continue
+                t, p, q, x, s = step(i, prev, v, (used >> abs(v)).bit_count())
+                shift = t | p << _BITS | q << 2 * _BITS | x << 3 * _BITS
+                sign = -1 if s & 1 else 1
+                out = nxt.setdefault((used | 1 << abs(v), v if last else 0,
+                                      odd ^ (v < 0) if kind == "D" else 0), {})
+                get = out.get
+                for e, c in poly.items():
+                    e += shift
+                    c = get(e, 0) + sign * c
+                    if c:
+                        out[e] = c
+                    else:                      # most signed terms cancel
+                        del out[e]
+        level = nxt
+    terms: Counter = Counter()
+    for (_, _, odd), poly in level.items():
+        if not odd:                            # D_n keeps even negatives
+            for e, c in poly.items():
+                terms[e & _FIELD, e >> _BITS & _FIELD, e >> 2 * _BITS & _FIELD,
+                      e >> 3 * _BITS] += c
+    return MultiPoly(terms)
+
+
 def signed_trivariate(n: int) -> MultiPoly:
     """
     Sum over S_n of (-1)^inv t^exc p^depth q^drops, which factors as
@@ -276,7 +354,7 @@ def signed_trivariate(n: int) -> MultiPoly:
     >>> signed_trivariate(2).pretty()
     '1 - t*p*q'
     """
-    return poly_from_counter(pc.sweep("S", n, trivariate_key))
+    return _transfer("S", n, "trivariate")
 
 
 def signed_drops(kind: str, n: int) -> MultiPoly:
@@ -286,17 +364,23 @@ def signed_drops(kind: str, n: int) -> MultiPoly:
     B_n, or (-1)^inv_d q^drops_d over D_n.  Equals (1-q)^(n-1), (1-q)^n and
     (1-q^3)(1-q)^(n-1) respectively.
     """
-    keys = {"S": drops_key_s, "B": drops_key_b, "D": drops_key_d}
-    if kind not in keys:
+    if kind not in ("S", "B", "D"):
         raise ValueError("signed_drops kinds: 'S', 'B', 'D'")
-    return poly_from_counter(pc.sweep(kind, n, keys[kind]))
+    return _transfer(kind, n, kind)
 
 
 def drops_poly(kind: str, n: int) -> MultiPoly:
-    """Unsigned drops enumerator over S_n or the even subgroup A_n."""
+    """
+    Unsigned drops enumerator over S_n or the even subgroup A_n, which is
+    half the sum of the unsigned and the signed enumerators over S_n.
+    """
     if kind not in ("S", "A"):
         raise ValueError("drops_poly kinds: 'S', 'A'")
-    return poly_from_counter(pc.sweep(kind, n, _unsigned_drops_key))
+    poly = _transfer("S", n, "unsigned")
+    if kind == "A":
+        both = poly + _transfer("S", n, "S")
+        poly = MultiPoly({e: c // 2 for e, c in both.terms.items()})
+    return poly
 
 
 def dep_inv_poly(n: int) -> MultiPoly:
@@ -306,7 +390,7 @@ def dep_inv_poly(n: int) -> MultiPoly:
     >>> dep_inv_poly(3).pretty()
     '1 + 2*q*x + 2*q^2*x^2 + q^3*x^2'
     """
-    return poly_from_counter(pc.sweep("S", n, _dep_inv_key))
+    return _transfer("S", n, "dep-inv", last=False)
 
 
 # ---------------------------------------------------------------------------
@@ -495,7 +579,8 @@ def per_path_enumerator(steps: str) -> MultiPoly:
 def drops_moments(kind: str, n: int) -> tuple[Fraction, Fraction]:
     """
     Exact mean and variance of drops under the uniform distribution on S_n
-    or A_n, computed from the drops generating polynomial.
+    or A_n, computed from the drops generating polynomial (a transfer, see
+    :func:`drops_poly`).
 
     >>> drops_moments("S", 3)
     (Fraction(4, 3), Fraction(5, 9))

@@ -92,6 +92,22 @@ def motzkin_paths(n: int) -> Iterator[str]:
     return _paths(n, STEPS_MOTZKIN)
 
 
+def motzkin_number(n: int) -> int:
+    """
+    The number of Motzkin paths of length n, by the recurrence
+    (k + 2) M_k = (2k + 1) M_(k-1) + 3(k - 1) M_(k-2).
+
+    >>> [motzkin_number(n) for n in range(8)]
+    [1, 1, 2, 4, 9, 21, 51, 127]
+    """
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    before, count = 1, 1
+    for k in range(2, n + 1):
+        before, count = count, ((2 * k + 1) * count + 3 * (k - 1) * before) // (k + 2)
+    return count
+
+
 def two_motzkin_paths(n: int) -> Iterator[str]:
     """All 2-Motzkin paths of length n (alphabet N S E D)."""
     return _paths(n, STEPS_2MOTZKIN)

@@ -21,7 +21,7 @@ from typing import Callable, Iterator
 from . import genpoly as gp
 from . import perm_core as pc
 from .additive import block_additive
-from .genpoly import MultiPoly, dep_inv_poly, jfraction_convergent
+from .genpoly import MultiPoly, jfraction_convergent
 from .involutions import (_swap_magnitudes, _swap_positions, _toggle_a,
                           _toggle_b, fixed_points)
 from .laguerre import (STEPS_2MOTZKIN, _history, _shape, max_height,
@@ -262,7 +262,10 @@ def _run_thm11(n: int, threads: int):
 
 
 def _run_cfrac(n: int, threads: int):
-    if jfraction_convergent(n).coefficient(n) != dep_inv_poly(n):
+    # the path transfer against the exhaustive sweep, not against
+    # dep_inv_poly, which is a transfer too
+    swept = gp.poly_from_counter(sweep("S", n, gp._dep_inv_key, threads))
+    if jfraction_convergent(n).coefficient(n) != swept:
         return f"t^{n} coefficient of the convergent differs from the enumerator"
     return None
 

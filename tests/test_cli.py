@@ -358,3 +358,33 @@ def test_sweeping_verbs_refuse_a_group_over_budget(capsys, monkeypatch, argv, me
     assert exc.value.code == 2
     err = capsys.readouterr().err
     assert message in err and "--force" not in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["poly", "--which", "drops-mad", "--n", "13"],
+     "poly --which drops-mad would sweep S_13 (6,227,020,800 elements)"),
+    (["poly", "--which", "trivariate", "--n", "17"],
+     "poly --which trivariate would run a transfer over S_17 (37,879,808 transitions)"),
+    (["poly", "--which", "signed-drops", "--group", "B", "--n", "15"],
+     "poly --which signed-drops would run a transfer over B_15 (29,491,200 transitions)"),
+    (["poly", "--which", "drops", "--group", "A", "--n", "17"],
+     "poly --which drops would run a transfer over A_17"),
+    (["path", "--n", "20"],
+     "path would list the Motzkin paths of length 20 (50,852,019 paths)"),
+])
+def test_poly_and_path_refuse_work_over_budget(capsys, monkeypatch, argv, message):
+    monkeypatch.setattr(cli.pc, "iter_group", _no_sweep)
+    monkeypatch.setattr(cli.gp, "_transfer", _no_sweep)
+    monkeypatch.setattr(cli, "motzkin_paths", _no_sweep)
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert message in capsys.readouterr().err
+
+
+def test_poly_and_path_run_at_the_budget_edge(capsys, monkeypatch):
+    monkeypatch.setattr(cli.gp, "_transfer", lambda *args, **kwargs: cli.gp.MultiPoly.one())
+    monkeypatch.setattr(cli, "motzkin_paths", lambda n: iter(()))
+    assert main(["poly", "--which", "trivariate", "--n", "16"]) == 0
+    assert main(["poly", "--which", "signed-drops", "--group", "D", "--n", "14"]) == 0
+    assert main(["path", "--n", "19"]) == 0

@@ -1,0 +1,140 @@
+"""
+The subset-transfer enumerators of genpoly against exhaustive sweeps of
+their key hooks, and against the closed forms past the sweep range.
+
+Every route is held to perm_core._count, the element-wise count, on every
+group small enough to sweep here; beyond that its closed form is built from
+binomial coefficients in plain ints, with no MultiPoly arithmetic.
+"""
+
+import functools
+import math
+from fractions import Fraction
+
+import pytest
+
+from coxdrops import genpoly as gp
+from coxdrops import perm_core as pc
+from coxdrops import verify
+
+SWEPT = {"S": range(0, 9), "A": range(0, 9), "B": range(0, 7), "D": range(2, 7)}
+
+# (name, route, key hook, groups)
+ROUTES = (
+    ("signed_trivariate", lambda kind, n: gp.signed_trivariate(n),
+     gp.trivariate_key, "S"),
+    ("signed_drops", gp.signed_drops, gp.drops_key_s, "S"),
+    ("signed_drops", gp.signed_drops, gp.drops_key_b, "B"),
+    ("signed_drops", gp.signed_drops, gp.drops_key_d, "D"),
+    ("drops_poly", gp.drops_poly, gp._unsigned_drops_key, "SA"),
+    ("dep_inv_poly", lambda kind, n: gp.dep_inv_poly(n), gp._dep_inv_key, "S"),
+)
+
+
+@functools.lru_cache(maxsize=None)
+def swept(kind, n, hook):
+    return gp.poly_from_counter(pc._count(kind, n, hook, 0, pc.group_order(kind, n)))
+
+
+def _cases():
+    for name, route, hook, kinds in ROUTES:
+        for kind in kinds:
+            for n in SWEPT[kind]:
+                yield pytest.param(route, hook, kind, n, id=f"{name}-{kind}{n}")
+
+
+@pytest.mark.parametrize("route, hook, kind, n", _cases())
+def test_transfer_equals_the_element_wise_sweep(route, hook, kind, n):
+    assert route(kind, n) == swept(kind, n, hook)
+
+
+@pytest.mark.parametrize("kind, n", [(k, n) for k in "SA" for n in SWEPT[k]])
+def test_drops_moments_equal_those_of_the_sweep(kind, n):
+    want = gp.mean_variance(swept(kind, n, gp._unsigned_drops_key).univariate("q"))
+    assert gp.drops_moments(kind, n) == want
+
+
+def _no_sweep(*args, **kwargs):
+    raise AssertionError("an element-wise route ran")
+
+
+def test_enumerators_visit_no_element(monkeypatch):
+    monkeypatch.setattr(pc, "sweep", _no_sweep)
+    monkeypatch.setattr(pc, "_count", _no_sweep)
+    monkeypatch.setattr(pc, "iter_group", _no_sweep)
+    assert gp.signed_trivariate(5).terms == trivariate_terms(5)
+    assert gp.signed_drops("S", 5).terms == q_terms(binomial_q(4))
+    assert gp.signed_drops("B", 4).terms == q_terms(binomial_q(4))
+    assert gp.signed_drops("D", 4).terms == q_terms(type_d_q(4))
+    # A_3 is 123, 231 and 312
+    assert gp.drops_poly("A", 3).terms == {(0, 0, 0, 0): 1, (0, 0, 2, 0): 2}
+    assert gp.drops_moments("A", 5) == moments(5)
+    assert sum(gp.dep_inv_poly(5).terms.values()) == 120
+
+
+def test_cfrac_sweeps_the_hook_with_the_thread_count(monkeypatch):
+    calls = []
+
+    def sweep(kind, n, hook, threads=1):
+        calls.append((kind, n, hook, threads))
+        return pc.sweep(kind, n, hook)
+
+    monkeypatch.setattr(verify, "sweep", sweep)
+    monkeypatch.setattr(gp, "_transfer", _no_sweep)
+    assert verify._run_cfrac(5, 3) is None
+    assert calls == [("S", 5, gp._dep_inv_key, 3)]
+
+
+# ---------------------------------------------------------------------------
+# past the sweep range: closed forms in plain ints
+# ---------------------------------------------------------------------------
+
+def binomial_q(power):
+    # (1 - q)^power as exponent -> coefficient
+    return {k: (-1) ** k * math.comb(power, k) for k in range(power + 1)}
+
+
+def type_d_q(n):
+    # (1 - q^3)(1 - q)^(n-1)
+    out = binomial_q(n - 1)
+    for k, c in binomial_q(n - 1).items():
+        out[k + 3] = out.get(k + 3, 0) - c
+    return {k: c for k, c in out.items() if c}
+
+
+def q_terms(dist):
+    return {(0, 0, k, 0): c for k, c in dist.items()}
+
+
+def trivariate_terms(n):
+    # (1 - tpq)^(n-1)
+    return {(k, k, k, 0): c for k, c in binomial_q(n - 1).items()}
+
+
+def moments(n):
+    return Fraction(n * n - 1, 6), Fraction((n + 1) * (2 * n * n + 7), 180)
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_signed_trivariate_past_the_sweep_range(n):
+    assert gp.signed_trivariate(n).terms == trivariate_terms(n)
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_signed_drops_s_past_the_sweep_range(n):
+    assert gp.signed_drops("S", n).terms == q_terms(binomial_q(n - 1))
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 10])
+def test_signed_drops_b_past_the_sweep_range(n):
+    assert gp.signed_drops("B", n).terms == q_terms(binomial_q(n))
+
+
+@pytest.mark.parametrize("n", [7, 8, 9, 10])
+def test_signed_drops_d_past_the_sweep_range(n):
+    assert gp.signed_drops("D", n).terms == q_terms(type_d_q(n))
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_drops_moments_a_past_the_sweep_range(n):
+    assert gp.drops_moments("A", n) == moments(n)
