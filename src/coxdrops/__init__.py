@@ -16,7 +16,7 @@ from .reduced_words import (CanonicalWord, canonical_word, canonical_word_a,
 from .involutions import (InvolutionReport, fixed_points, involution_a,
                           involution_b, pair_map_bd, pair_map_d)
 from .laguerre import (LaguerreHistory, area, cyclic_classify,
-                       even_subset_to_path, fz_history, heights,
+                       even_subset_to_path, from_history, fz_history, heights,
                        laguerre_histories, max_height, motzkin_paths,
                        motzkin_shape, nest, nest_at, path_to_even_subset,
                        path_weight, two_motzkin_paths)

@@ -7,9 +7,10 @@ coefficients, batch claim verification, and the Bruhat matching export.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
-import io
 import json
+import math
 import os
 import sys
 
@@ -62,6 +63,14 @@ def _emit(text: str, out: str | None) -> None:
         print(text)
 
 
+def _emit_csv(header: list[str], rows, out: str | None) -> None:
+    # rows are written as they are made, never held whole in memory
+    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)
+
+
 def _table(rows: list[tuple[str, object]]) -> str:
     width = max(len(k) for k, _ in rows)
     return "\n".join(f"{k:<{width}}  {v}" for k, v in rows)
@@ -100,12 +109,9 @@ def _cmd_stats(args) -> int:
         raise _die("stats: need --elem or --n")
     _check_budget("stats", args.group, args.n)
     stats = _UNSIGNED_STATS if args.group in ("S", "A") else _SIGNED_STATS
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["element"] + [name for name, _ in stats])
-    for w in pc.iter_group(args.group, args.n):
-        writer.writerow([pc.format_window(w)] + [f(w) for _, f in stats])
-    _emit(buf.getvalue().rstrip("\n"), args.out)
+    _emit_csv(["element"] + [name for name, _ in stats],
+              ([pc.format_window(w)] + [f(w) for _, f in stats]
+               for w in pc.iter_group(args.group, args.n)), args.out)
     return 0
 
 
@@ -172,13 +178,9 @@ def _cmd_path(args) -> int:
         raise _die("path: need --path or --n")
     _within_budget(f"path would list the Motzkin paths of length {args.n}",
                    motzkin_number(args.n), "path")
-    buf = io.StringIO()
-    writer = csv.writer(buf)
-    writer.writerow(["path", "weight", "area", "max_height"])
-    for steps in motzkin_paths(args.n):
-        writer.writerow([steps, path_weight(steps), area(steps),
-                         max_height(steps)])
-    _emit(buf.getvalue().rstrip("\n"), args.out)
+    _emit_csv(["path", "weight", "area", "max_height"],
+              ([steps, path_weight(steps), area(steps), max_height(steps)]
+               for steps in motzkin_paths(args.n)), args.out)
     return 0
 
 
@@ -259,6 +261,14 @@ def _cmd_verify(args) -> int:
 
 def _cmd_match(args) -> int:
     _check_budget("match", args.group, args.n)
+    if args.hasse:
+        # hasse_covers compares every pair on adjacent length levels; the
+        # level sizes are the coefficients of prod [i]_q (S) or [2i]_q (B)
+        step = 1 if args.group == "S" else 2
+        size = math.prod(map(gp.q_integer, range(step, step * args.n + 1, step)),
+                         start=gp.MultiPoly.one()).univariate("q")
+        _within_budget(f"match --hasse would compare {args.group}_{args.n} elements pairwise",
+                       sum(c * size.get(k + 1, 0) for k, c in size.items()), "pair")
     edges = build_matching(args.group, args.n)
     report = validate_matching(edges, args.group, args.n)
     if args.dot:

@@ -255,6 +255,49 @@ def _history(p: Window) -> LaguerreHistory:
     return LaguerreHistory("".join(steps), tuple(labels))
 
 
+def from_history(steps: str, labels: Sequence[int]) -> Window:
+    """
+    The inverse of :func:`fz_history`: the permutation whose history is
+    (steps, labels).  Raises ValueError on a history that is not restricted.
+
+    >>> from_history("NNSS", (0, 1, 1, 0))
+    (4, 3, 2, 1)
+    """
+    decoded = _decode(steps, tuple(labels))
+    if decoded is None:
+        raise ValueError(f"not a restricted Laguerre history: {steps!r} {labels}")
+    return decoded[1]
+
+
+def _decode(steps: str, labels: tuple[int, ...]) -> tuple[int, Window] | None:
+    # One insertion walk: None unless the history is restricted, else its
+    # area and window.  Before step i, `positions` holds the open positions
+    # (value >= i still to come) by increasing future value and `values`
+    # the open values (position still to come) in increasing order.
+    p = [0] * len(steps)
+    positions, values, ar = [], [], 0
+    for i, (s, k) in enumerate(zip(steps, labels)):
+        h = len(values)
+        if s not in STEPS_2MOTZKIN or not 0 <= k <= h - (s in "SD"):
+            return None
+        ar += h
+        if s == "N":
+            positions.insert(len(positions) - k, i)
+            values.append(i + 1)
+        elif s == "S":
+            p[positions.pop(0)] = i + 1
+            p[i] = values.pop(k)
+        elif s == "D":
+            p[i] = values.pop(k)
+            values.append(i + 1)
+        elif k == h:                             # E at full height: p_i = i
+            p[i] = i + 1
+        else:
+            p[positions.pop(0)] = i + 1
+            positions.insert(len(positions) - k, i)
+    return None if values or len(steps) != len(labels) else (ar, tuple(p))
+
+
 def motzkin_shape(p: Sequence[int]) -> str:
     """
     The Motzkin path under the permutation: the history's shape with E and

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import io
 import json
 import math
@@ -198,6 +199,14 @@ def test_match_verb(capsys, tmp_path):
     assert dot.read_text().startswith("graph bruhat_matching_S3")
 
 
+def test_match_hasse_writes_its_dot_file(capsys, tmp_path):
+    dot = tmp_path / "m.dot"
+    code, _ = run_cli(capsys, "match", "--n", "4", "--hasse", "--dot", str(dot))
+    assert code == 0
+    text = dot.read_text()
+    assert text.startswith("graph bruhat_matching_S4") and "[color=gray]" in text
+
+
 def test_match_json(capsys):
     code, out = run_cli(capsys, "match", "--group", "B", "--n", "2",
                         "--format", "json")
@@ -349,6 +358,8 @@ def test_verify_runs_within_budget_or_forced(capsys, monkeypatch):
 @pytest.mark.parametrize("argv, message", [
     (["stats", "--group", "S", "--n", "11"], "stats would sweep S_11 (39,916,800 elements)"),
     (["match", "--group", "B", "--n", "9"], "match would sweep B_9 (185,794,560 elements)"),
+    (["match", "--group", "B", "--n", "7", "--hasse"],
+     "match --hasse would compare B_7 elements pairwise (16,881,945,214 pairs)"),
 ])
 def test_sweeping_verbs_refuse_a_group_over_budget(capsys, monkeypatch, argv, message):
     monkeypatch.setattr(cli.pc, "iter_group", _no_sweep)
@@ -388,3 +399,18 @@ def test_poly_and_path_run_at_the_budget_edge(capsys, monkeypatch):
     assert main(["poly", "--which", "trivariate", "--n", "16"]) == 0
     assert main(["poly", "--which", "signed-drops", "--group", "D", "--n", "14"]) == 0
     assert main(["path", "--n", "19"]) == 0
+
+
+# SHA-256 of the expected CSV bytes, written to stdout and to --out alike
+@pytest.mark.parametrize("argv, digest", [
+    (["path", "--n", "8"],
+     "e1b13031b22fc30b17d9e9c96b656e7c49a79785ef7bd756719a1ad86531e736"),
+    (["stats", "--group", "B", "--n", "3"],
+     "075e461a224ac2acad84f009dc039b5be2084a4bccb978d8d2c820ac7f81d819"),
+])
+def test_csv_sweeps_stream_the_same_bytes(capsys, tmp_path, argv, digest):
+    _, out = run_cli(capsys, *argv)
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    target = tmp_path / "out.csv"
+    assert main([*argv, "--out", str(target)]) == 0
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == digest

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 from coxdrops import perm_core as pc
 from coxdrops.involutions import fixed_points, involution_a
 from coxdrops.laguerre import (LaguerreHistory, area, cyclic_classify,
-                               even_subset_to_path, fz_history, heights,
+                               even_subset_to_path, from_history,
+                               fz_history, heights,
                                laguerre_histories, max_height, motzkin_paths,
                                motzkin_shape, nest, nest_at,
                                path_to_even_subset, path_weight,
@@ -108,6 +109,30 @@ def test_history_enumeration_matches_image(groups):
         domain = {(h.steps, h.labels) for h in laguerre_histories(n)}
         assert image == domain
         assert len(domain) == math.factorial(n)
+
+
+def test_from_history_inverts_fz_history_on_s0_to_s8(groups):
+    for n in range(9):
+        for w in groups["S"](n):
+            h = fz_history(w)
+            assert from_history(h.steps, h.labels) == w
+
+
+def test_every_restricted_history_decodes_to_its_preimage():
+    # with the left inverse above, this makes fz_history a bijection onto
+    # the restricted histories that laguerre_histories lists
+    for n in range(8):
+        for h in laguerre_histories(n):
+            assert fz_history(from_history(h.steps, h.labels)) == h
+
+
+@pytest.mark.parametrize("steps, labels", [
+    ("S", (0,)), ("NS", (1, 0)), ("NS", (0, 1)), ("NE", (0, 0)),
+    ("NXS", (0, 0, 0)), ("NS", (0,)), ("E", (-1,)),
+])
+def test_from_history_rejects_histories_that_are_not_restricted(steps, labels):
+    with pytest.raises(ValueError, match="not a restricted Laguerre history"):
+        from_history(steps, labels)
 
 
 # ---------------------------------------------------------------------------

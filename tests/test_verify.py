@@ -2,16 +2,20 @@ import ast
 import itertools
 import json
 import math
+import os
 import pathlib
+import subprocess
+import sys
+from collections import Counter
 
 import pytest
 
 from coxdrops.involutions import (_swap_magnitudes, _swap_positions, _toggle_a,
                                   _toggle_b)
-from coxdrops.laguerre import LaguerreHistory, fz_history, heights, motzkin_shape
-from coxdrops.perm_core import format_window, iter_group, pool_size
-from coxdrops.verify import (CLAIMS, _restricted_area, plan, run_claim,
-                             run_claims)
+from coxdrops.laguerre import (LaguerreHistory, _decode, fz_history, heights,
+                               motzkin_shape)
+from coxdrops.perm_core import format_window, iter_group, pool_size, sweep
+from coxdrops.verify import CLAIMS, plan, run_claim, run_claims
 
 
 def test_registry_contents():
@@ -266,20 +270,25 @@ def test_shape_reports_the_first_element_a_broken_toggle_moves(monkeypatch, n, f
 
 
 # ---------------------------------------------------------------------------
-# the one-pass restricted-history check of the fz claim
+# the fz claim: one decoding walk checks, sums and inverts each history
 # ---------------------------------------------------------------------------
 
 def _agrees_with_is_valid(h):
-    got = _restricted_area(h.steps, h.labels)
-    if h.is_valid():
-        return got == sum(heights(h.steps))
-    return got is None
+    # None exactly where is_valid() is false, and otherwise the area and
+    # the one window whose history is h
+    got = _decode(h.steps, h.labels)
+    if not h.is_valid():
+        return got is None
+    return (got is not None and got[0] == sum(heights(h.steps))
+            and fz_history(got[1]) == h)
 
 
 def test_restricted_area_agrees_with_is_valid_on_s0_to_s6(groups):
     for n in range(7):
         for w in groups["S"](n):
-            assert _agrees_with_is_valid(fz_history(w)), w
+            h = fz_history(w)
+            assert _agrees_with_is_valid(h), w
+            assert _decode(h.steps, h.labels) == (sum(heights(h.steps)), w)
 
 
 @pytest.mark.parametrize("steps, labels", [
@@ -305,3 +314,40 @@ def test_fz_reports_a_history_that_is_not_restricted(monkeypatch):
         LaguerreHistory("SN", (0, 0)) if w == (2, 1) else real(w)))
     (report,) = run_claim("fz", ns=(2,), threads=1)
     assert report.witness == "2,1: image is not a restricted history"
+
+
+@pytest.mark.parametrize("victim, target", [((1, 3, 2), (3, 2, 1)),
+                                            ((3, 2, 1), (1, 3, 2))])
+def test_fz_reports_two_windows_sent_to_one_history(monkeypatch, victim, target):
+    # the victim takes the target's history, which decodes to the target
+    import coxdrops.verify as v
+    real = v._history
+    monkeypatch.setattr(v, "_history", lambda w: real(target if w == victim else w))
+    (report,) = run_claim("fz", ns=(3,), threads=1)
+    assert report.status == "fail"
+    assert report.witness == f"{format_window(victim)}: history does not decode to it"
+
+
+def test_fz_sweep_holds_one_key():
+    import coxdrops.verify as v
+    assert sweep("S", 7, v._fz_key) == Counter({None: math.factorial(7)})
+
+
+def _peak_rss_kib(*argv):
+    # a wrapper interpreter runs the verb as its only child, so its
+    # RUSAGE_CHILDREN peak is that child's alone
+    code = ("import resource, subprocess, sys; "
+            "subprocess.run(sys.argv[1:], check=True, stdout=subprocess.DEVNULL); "
+            "print(resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss)")
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, sys.executable, "-m", "coxdrops", *argv],
+        capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": str(src)})
+    return int(proc.stdout)
+
+
+def test_fz_peaks_like_a_claim_that_keeps_no_per_element_keys():
+    fz = _peak_rss_kib("verify", "fz", "--n", "8", "--threads", "1")
+    thm13 = _peak_rss_kib("verify", "thm1.3", "--n", "8", "--threads", "1")
+    assert fz <= 1.1 * thm13, (fz, thm13)
