@@ -31,6 +31,8 @@ from .verify import CLAIMS, plan, run_claim
 # steps of a `poly` transfer and the paths `path --n` lists.
 SWEEP_BUDGET = 2 * 10 ** 7
 
+_ELEM_HELP = "window, e.g. '3,1,-5,2,-4'; write --elem=-3,1,5 when it starts with a minus"
+
 
 def _die(message: str) -> "SystemExit":
     print(f"error: {message}", file=sys.stderr)
@@ -243,20 +245,19 @@ def _cmd_verify(args) -> int:
     if args.threads < 0:
         raise _die(f"--threads must be >= 0 (0 means all cores), got {args.threads}")
     threads = args.threads if args.threads else (os.cpu_count() or 1)
-    reports = []
-    for name in names:
-        reports.extend(run_claim(name, ns, threads, args.max_n))
-    lines = []
-    if args.format == "json":
-        lines = [r.to_json() for r in reports]
-    else:
-        lines.append(f"{'claim':<10} {'group':<5} {'n':>2} {'status':<6} "
-                     f"{'count':>8} {'ms':>9}  witness")
-        for r in reports:
-            lines.append(f"{r.claim:<10} {r.group:<5} {r.n:>2} {r.status:<6} "
-                         f"{r.count:>8} {r.elapsed_ms:>9.1f}  {r.witness or ''}")
-    _emit("\n".join(lines), args.out)
-    return 0 if all(r.ok for r in reports) else 1
+    ok = True                                  # each report is written as its part ends
+    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+        if args.format != "json":
+            print(f"{'claim':<10} {'group':<5} {'n':>2} {'status':<6} "
+                  f"{'count':>8} {'ms':>9}  witness", file=fh, flush=True)
+        for name in names:
+            for r in run_claim(name, ns, threads, args.max_n):
+                ok = ok and r.ok
+                print(r.to_json() if args.format == "json" else
+                      f"{r.claim:<10} {r.group:<5} {r.n:>2} {r.status:<6} "
+                      f"{r.count:>8} {r.elapsed_ms:>9.1f}  {r.witness or ''}",
+                      file=fh, flush=True)
+    return 0 if ok else 1
 
 
 def _cmd_match(args) -> int:
@@ -309,23 +310,23 @@ def build_parser() -> argparse.ArgumentParser:
         return p
 
     p = common(sub.add_parser("stats", help="per-element statistics or CSV sweeps"))
-    p.add_argument("--elem", help="window, e.g. '3,1,-5,2,-4'")
+    p.add_argument("--elem", help=_ELEM_HELP)
     p.add_argument("--group", choices=pc.GROUPS, default="S")
     p.add_argument("--n", type=int)
     p.set_defaults(func=_cmd_stats)
 
     p = common(sub.add_parser("word", help="canonical reduced word"))
-    p.add_argument("--elem", required=True)
+    p.add_argument("--elem", required=True, help=_ELEM_HELP)
     p.add_argument("--type", choices=("A", "B"))
     p.set_defaults(func=_cmd_word)
 
     p = common(sub.add_parser("invol", help="apply the sign-reversing involution"))
-    p.add_argument("--elem", required=True)
+    p.add_argument("--elem", required=True, help=_ELEM_HELP)
     p.add_argument("--type", choices=("A", "B"))
     p.set_defaults(func=_cmd_invol)
 
     p = common(sub.add_parser("fz", help="restricted Laguerre history of a permutation"))
-    p.add_argument("--elem", required=True)
+    p.add_argument("--elem", required=True, help=_ELEM_HELP)
     p.set_defaults(func=_cmd_fz)
 
     p = common(sub.add_parser("path", help="path heights, area and weight"))
@@ -372,7 +373,12 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()                     # a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:                    # the reader left, as `| head` does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so exit is quiet
+        return 1
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -237,19 +237,22 @@ def q_integer(k: int) -> MultiPoly:
 @block_additive
 def trivariate_key(w: Sequence[int]) -> tuple[int, ...]:
     """The signed monomial (-1)^inv t^exc p^depth q^drops of a permutation."""
-    return pc.exc(w), pc.depth(w), pc.drops(w), 0, pc.inv(w) % 2
+    inv, drops, depth, _, exc, _ = pc._scan(w)
+    return exc, depth, drops, 0, inv % 2
 
 
 @block_additive
 def drops_key_s(w: Sequence[int]) -> tuple[int, ...]:
     """(-1)^inv q^drops."""
-    return 0, 0, pc.drops(w), 0, pc.inv(w) % 2
+    inv, drops = pc._scan(w)[:2]
+    return 0, 0, drops, 0, inv % 2
 
 
 @block_additive
 def drops_key_b(s: Sequence[int]) -> tuple[int, ...]:
     """(-1)^inv_b q^drops_b."""
-    return 0, 0, pc.drops_b(s), 0, pc.inv_b(s) % 2
+    length, drops = pc._scan_b(s)
+    return 0, 0, drops, 0, length % 2
 
 
 @block_additive
@@ -265,7 +268,8 @@ def _unsigned_drops_key(w):
 
 @block_additive
 def _dep_inv_key(w):
-    return 0, 0, pc.inv(w), pc.depth(w), 0
+    inv, _, depth = pc._scan(w)[:3]
+    return 0, 0, inv, depth, 0
 
 
 def _drops_mad_key(w):

@@ -164,6 +164,28 @@ def iexc(p: Sequence[int]) -> int:
     return sum(map(operator.lt, p, itertools.count(1)))
 
 
+def _scan(w: Sequence[int]) -> tuple[int, int, int, int, int, int]:
+    # (inv, drops, depth, iexc, exc, des) in one walk; signed windows too
+    n = len(w)
+    seen = inversions = gaps = disp = below = above = falls = i = 0
+    prev = w[0] if w else 0
+    for v in w:
+        i += 1                                 # cheaper than enumerate
+        inversions += (seen >> v + n).bit_count()
+        seen |= 1 << v + n                     # value v is bit v + n
+        if v > i:
+            above += 1
+            disp += v - i
+        elif v < i:
+            below += 1
+            disp += i - v
+        if prev > v:
+            falls += 1
+            gaps += prev - v
+        prev = v
+    return inversions, gaps, disp >> 1, below, above, falls
+
+
 def reverse_complement(p: Sequence[int]) -> Window:
     """
     The window r with r_i = n+1 - p_{n+1-i}.
@@ -211,6 +233,21 @@ def drops_b(s: Sequence[int]) -> int:
             total += prev - v
         prev = v
     return total
+
+
+def _scan_b(s: Sequence[int]) -> tuple[int, int]:
+    # (inv_b, drops_b) in one left-to-right walk, as _scan does it
+    n = len(s)
+    seen = length = gaps = prev = 0
+    for v in s:
+        length += (seen >> v + n).bit_count()
+        seen |= 1 << v + n
+        if v < 0:
+            length -= v
+        if prev > v:
+            gaps += prev - v
+        prev = v
+    return length, gaps
 
 
 def inv_d(s: Sequence[int]) -> int:

@@ -69,7 +69,8 @@ def _witness(keys) -> str | None:
 @block_additive
 def _bivariate_key(w):
     # t^exc p^depth q^drops x^des
-    return pc.exc(w), pc.depth(w), pc.drops(w), pc.des(w), 0
+    _, drops, depth, _, exc, des = pc._scan(w)
+    return exc, depth, drops, des, 0
 
 
 @block_additive
@@ -80,7 +81,7 @@ def _zdrops_key(s):
 
 
 def _mad_key(w):
-    return pc.drops(w), gp.mad(w), pc.depth(w), pc.inv(w)
+    return pc._scan(w)[:3] + (gp.mad(w),)
 
 
 def _mad_path_key(w):
@@ -95,11 +96,12 @@ def _fz_key(w):
     ar, back = decoded
     if back != w:
         return f"{format_window(w)}: history does not decode to it"
-    if pc.depth(w) != ar:
-        return f"{format_window(w)}: depth {pc.depth(w)} != area {ar}"
-    if pc.inv(w) != ar + sum(h.labels):
-        return f"{format_window(w)}: inv {pc.inv(w)} != area+nest {ar + sum(h.labels)}"
-    if pc.iexc(w) != h.steps.count("N") + h.steps.count("D"):
+    inv, _, depth, iexc = pc._scan(w)[:4]
+    if depth != ar:
+        return f"{format_window(w)}: depth {depth} != area {ar}"
+    if inv != ar + sum(h.labels):
+        return f"{format_window(w)}: inv {inv} != area+nest {ar + sum(h.labels)}"
+    if iexc != h.steps.count("N") + h.steps.count("D"):
         return f"{format_window(w)}: iexc != #N + #dE"
     return None
 
@@ -126,16 +128,16 @@ def _invol_key_s(w):
 
 def _invol_fault_s(w, hit):
     if hit is None:
-        k = pc.inv(w)
-        if not (pc.drops(w) == pc.depth(w) == pc.iexc(w) == k):
+        if len(set(pc._scan(w)[:4])) > 1:
             return "fixed point without inv=drops=depth=iexc"
         return None
     y = _image(w, hit, _swap_positions)
     if _image(y, _toggle_a(y), _swap_positions) != w:
         return "map is not involutive"
-    if (pc.inv(w) - pc.inv(y)) % 2 == 0:
+    sw, sy = pc._scan(w), pc._scan(y)
+    if (sw[0] - sy[0]) % 2 == 0:
         return "sign not reversed"
-    if (pc.drops(w), pc.depth(w), pc.iexc(w)) != (pc.drops(y), pc.depth(y), pc.iexc(y)):
+    if sw[1:4] != sy[1:4]:
         return "(drops, depth, iexc) not preserved"
     d, ia, ib = hit
     a, b = w[ia], w[ib]
@@ -155,15 +157,16 @@ def _invol_key_b(s):
 
 def _invol_fault_b(s, hit):
     if hit is None:
-        if pc.inv_b(s) != pc.drops_b(s):
+        if len(set(pc._scan_b(s))) > 1:
             return "fixed point without inv_b = drops_b"
         return None
     y = _image(s, hit, _swap_magnitudes)
     if _image(y, _toggle_b(y), _swap_magnitudes) != s:
         return "map is not involutive"
-    if (pc.inv_b(s) - pc.inv_b(y)) % 2 == 0:
+    (ls, ds), (ly, dy) = pc._scan_b(s), pc._scan_b(y)
+    if (ls - ly) % 2 == 0:
         return "sign not reversed"
-    if pc.drops_b(s) != pc.drops_b(y):
+    if ds != dy:
         return "drops_b not preserved"
     return None
 
@@ -262,7 +265,7 @@ def _run_mad(n: int, threads: int):
     di: Counter = Counter()
     per_path: dict[str, Counter] = {}
     for key, c in counter.items():
-        drops, mad, depth, inv = key[:4]
+        inv, drops, depth, mad = key[:4]
         dm[drops, mad] += c
         di[depth, inv] += c
         if paths:

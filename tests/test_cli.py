@@ -3,10 +3,15 @@ import hashlib
 import io
 import json
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
-from coxdrops import bruhat, cli
+from coxdrops import bruhat, cli, verify
 from coxdrops.cli import main
 
 
@@ -188,6 +193,107 @@ def test_verify_thread_count_does_not_change_reports(capsys):
         {k: v for k, v in json.loads(d).items() if k != "elapsed_ms"}
         for d in docs.strip().splitlines()]
     assert strip(out1) == strip(out2)
+
+
+# `verify thm1.3 lemma7.2 --max-n 5` as it was printed when every report
+# was collected first, with the timings masked
+VERIFY_TABLE = """\
+claim      group  n status    count        ms  witness
+thm1.3     S      1 pass          1 MS  
+thm1.3     S      2 pass          2 MS  
+thm1.3     S      3 pass          6 MS  
+thm1.3     S      4 pass         24 MS  
+thm1.3     S      5 pass        120 MS  
+lemma7.2   B      2 pass          8 MS  
+lemma7.2   B      3 pass         48 MS  
+lemma7.2   B      4 pass        384 MS  
+lemma7.2   B      5 pass       3840 MS  
+"""
+VERIFY_JSON = "".join(
+    f'{{"claim": "{c}", "group": "{g}", "n": {n}, "status": "pass", '
+    f'"witness": null, "elapsed_ms": MS, "count": {count}}}\n'
+    for c, g, n, count in [("thm1.3", "S", 1, 1), ("thm1.3", "S", 2, 2),
+                           ("thm1.3", "S", 3, 6), ("thm1.3", "S", 4, 24),
+                           ("thm1.3", "S", 5, 120), ("lemma7.2", "B", 2, 8),
+                           ("lemma7.2", "B", 3, 48), ("lemma7.2", "B", 4, 384),
+                           ("lemma7.2", "B", 5, 3840)])
+
+
+def _mask_ms(text):
+    text = re.sub(r" +\d+\.\d(?=  )", " MS", text)
+    return re.sub(r'"elapsed_ms": [0-9.e+-]+', '"elapsed_ms": MS', text)
+
+
+@pytest.mark.parametrize("fmt, want", [("table", VERIFY_TABLE), ("json", VERIFY_JSON)])
+def test_verify_output_keeps_its_format(capsys, tmp_path, fmt, want):
+    argv = ["verify", "thm1.3", "lemma7.2", "--max-n", "5", "--threads", "1",
+            "--format", fmt]
+    code, out = run_cli(capsys, *argv)
+    assert code == 0 and _mask_ms(out) == want
+    target = tmp_path / "reports.txt"
+    assert main([*argv, "--out", str(target)]) == 0
+    assert _mask_ms(target.read_text()) == want
+
+
+@pytest.mark.parametrize("out", [False, True])
+def test_verify_writes_each_report_when_its_part_finishes(capsys, monkeypatch,
+                                                          tmp_path, out):
+    target = tmp_path / "reports.txt"
+    written = []
+
+    def run_claim(name, *args):
+        for report in verify.run_claim(name, *args):
+            if out:
+                written.append(target.read_text().count("\n"))
+            else:
+                written.append(capsys.readouterr().out.count("\n"))
+            yield report
+
+    monkeypatch.setattr(cli, "run_claim", run_claim)
+    argv = ["verify", "thm1.3", "--max-n", "3", "--threads", "1"]
+    assert main(argv + (["--out", str(target)] if out else [])) == 0
+    # the header, then one more line by the end of each part
+    assert written == ([1, 2, 3] if out else [1, 1, 1])
+
+
+def test_verify_exit_code_counts_a_failing_report(capsys, monkeypatch):
+    failing = verify.ClaimDef("thm1.3", "S", (1, 2),
+                              lambda n, threads: "bad" if n == 1 else None, "fails at n = 1")
+    monkeypatch.setitem(verify.CLAIMS, "thm1.3", (failing,))
+    code, out = run_cli(capsys, "verify", "thm1.3", "--threads", "1")
+    assert code == 1
+    assert [line.split()[3] for line in out.splitlines()[1:]] == ["fail", "pass"]
+
+
+def test_a_window_with_a_leading_minus_is_attached_with_equals(capsys):
+    code, out = run_cli(capsys, "invol", "--elem=-6,1,5,3,4,-2")
+    assert code == 0
+    assert ["output", "-5,1,6,3,4,-2"] in [line.split() for line in out.splitlines()]
+    with pytest.raises(SystemExit):
+        main(["word", "--help"])
+    assert "--elem=-3,1,5" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("argv, header", [
+    (["stats", "--group", "S", "--n", "8"], b"element,inv,"),
+    (["path", "--n", "12"], b"path,weight,"),
+])
+def test_a_closed_pipe_ends_a_csv_sweep_quietly(argv, header):
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.Popen([sys.executable, "-m", "coxdrops", *argv], env=env,
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    try:
+        first = proc.stdout.readline()
+        proc.stdout.close()                    # as `| head -1` does
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert first.startswith(header)
+    assert err == b""
 
 
 def test_match_verb(capsys, tmp_path):

@@ -166,6 +166,42 @@ def test_nsum_negs():
 
 
 # ---------------------------------------------------------------------------
+# the one-pass kernels of the sweep hooks against the definitions
+# ---------------------------------------------------------------------------
+
+def _six(w):
+    return pc.inv(w), pc.drops(w), pc.depth(w), pc.iexc(w), pc.exc(w), pc.des(w)
+
+
+def test_scan_equals_the_definitions_on_s0_to_s8_and_b0_to_b6(groups):
+    # the unsigned keys are swept over B and D too, so signed windows count
+    for kind, top in (("S", 8), ("B", 6)):
+        for n in range(top + 1):
+            for w in groups[kind](n):
+                assert pc._scan(w) == _six(w), w
+
+
+def test_scan_b_equals_the_definitions_on_b0_to_b7(groups):
+    for n in range(7):
+        for s in groups["B"](n):
+            assert pc._scan_b(s) == (pc.inv_b(s), pc.drops_b(s)), s
+    # B_7 streamed, not held
+    for s in pc.iter_group("B", 7):
+        assert pc._scan_b(s) == (pc.inv_b(s), pc.drops_b(s)), s
+
+
+@given(st.integers(9, 40).flatmap(lambda n: st.tuples(
+    st.permutations(range(1, n + 1)), st.lists(st.booleans(), min_size=n, max_size=n))))
+def test_kernels_equal_the_definitions_at_n9_to_n40(case):
+    perm, negated = case
+    w = tuple(perm)
+    s = tuple(-v if neg else v for v, neg in zip(perm, negated))
+    assert pc._scan(w) == _six(w)
+    assert pc._scan(s) == _six(s)
+    assert pc._scan_b(s) == (pc.inv_b(s), pc.drops_b(s))
+
+
+# ---------------------------------------------------------------------------
 # parsing and formatting
 # ---------------------------------------------------------------------------
 
