@@ -214,6 +214,12 @@ def _cmd_poly(args) -> int:
 
 
 def _cmd_cfrac(args) -> int:
+    # at length k the path transfer holds min(k, order - k) + 1 heights, each
+    # a polynomial with at most C(k, 2) + 1 powers of q and k^2/4 + 1 of x
+    order = args.order
+    _within_budget(f"cfrac would fill the path transfer to order {order}",
+                   sum((min(k, order - k) + 1) * (k * (k - 1) // 2 + 1) * (k * k // 4 + 1)
+                       for k in range(order + 1)), "cell")
     series = gp.jfraction_convergent(args.order)
     if args.format == "json":
         _emit(json.dumps([{"n": k, "poly": series.coefficient(k).to_json_obj()}
@@ -379,6 +385,11 @@ def main(argv: list[str] | None = None) -> int:
     except BrokenPipeError:                    # the reader left, as `| head` does
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so exit is quiet
         return 1
+    except OSError as exc:
+        if exc.filename is None:               # only --out and --dot name a file
+            raise
+        print(f"error: cannot write {exc.filename}: {exc.strerror}", file=sys.stderr)
+        return 2
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

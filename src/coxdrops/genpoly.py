@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import perm_core as pc
-from .additive import block_additive
+from .perm_core import _BITS, _unpack
 from .laguerre import STEPS_MOTZKIN, heights, is_valid_path
 
 VARS = ("t", "p", "q", "x")
@@ -95,12 +95,6 @@ class MultiPoly:
                     del out[e]
         res = MultiPoly()
         res.terms = out
-        return res
-
-    def scale(self, c: int) -> "MultiPoly":
-        res = MultiPoly()
-        if c:
-            res.terms = {e: c * v for e, v in self.terms.items()}
         return res
 
     def __pow__(self, k: int) -> "MultiPoly":
@@ -231,42 +225,42 @@ def q_integer(k: int) -> MultiPoly:
 # affects the rest of its signed monomial only through the magnitudes it
 # uses, its last entry and, in D_n, the parity of its negatives.  The key
 # hooks below give the monomial (a, b, c, d, s) of a whole element; verify
-# sweeps them (a block at a time, see coxdrops.additive), and the tests
-# hold each transfer to a sweep of its hook.
+# sweeps them (a block at a time, see perm_core.block_additive), and the
+# tests hold each transfer to a sweep of its hook.
 
-@block_additive
+@pc.block_additive
 def trivariate_key(w: Sequence[int]) -> tuple[int, ...]:
     """The signed monomial (-1)^inv t^exc p^depth q^drops of a permutation."""
     inv, drops, depth, _, exc, _ = pc._scan(w)
     return exc, depth, drops, 0, inv % 2
 
 
-@block_additive
+@pc.block_additive
 def drops_key_s(w: Sequence[int]) -> tuple[int, ...]:
     """(-1)^inv q^drops."""
     inv, drops = pc._scan(w)[:2]
     return 0, 0, drops, 0, inv % 2
 
 
-@block_additive
+@pc.block_additive
 def drops_key_b(s: Sequence[int]) -> tuple[int, ...]:
     """(-1)^inv_b q^drops_b."""
     length, drops = pc._scan_b(s)
     return 0, 0, drops, 0, length % 2
 
 
-@block_additive
+@pc.block_additive
 def drops_key_d(s: Sequence[int]) -> tuple[int, ...]:
     """(-1)^inv_d q^drops_d."""
     return 0, 0, pc.drops_d(s), 0, pc.inv_d(s) % 2
 
 
-@block_additive
+@pc.block_additive
 def _unsigned_drops_key(w):
     return 0, 0, pc.drops(w), 0, 0
 
 
-@block_additive
+@pc.block_additive
 def _dep_inv_key(w):
     inv, _, depth = pc._scan(w)[:3]
     return 0, 0, inv, depth, 0
@@ -293,11 +287,6 @@ _STEPS = {
     "dep-inv": lambda i, prev, v, above: (0, 0, above, max(v - i, 0), 0),
 }
 
-# exponents are packed 15 bits a variable while they are summed
-_BITS = 15
-_FIELD = (1 << _BITS) - 1
-
-
 def transitions(kind: str, n: int) -> int:
     """
     The size of a transfer: about 2^n n states times n steps out of each,
@@ -314,7 +303,8 @@ def _transfer(kind: str, n: int, stat: str, last: bool = True) -> MultiPoly:
     # the sum over the group of the signed monomials _STEPS[stat] builds,
     # with the sign netted into the coefficients and no zero kept; a step
     # that never reads prev passes last=False.  Each level is emptied as
-    # the next one fills.
+    # the next one fills.  Exponents are packed as perm_core packs keys, but
+    # inline: a _pack call per step makes the transfer a quarter slower.
     pc.check_group(kind, n)
     step = _STEPS[stat]
     signed = kind in ("B", "D")
@@ -345,8 +335,7 @@ def _transfer(kind: str, n: int, stat: str, last: bool = True) -> MultiPoly:
     for (_, _, odd), poly in level.items():
         if not odd:                            # D_n keeps even negatives
             for e, c in poly.items():
-                terms[e & _FIELD, e >> _BITS & _FIELD, e >> 2 * _BITS & _FIELD,
-                      e >> 3 * _BITS] += c
+                terms[_unpack(e)[:4]] += c
     return MultiPoly(terms)
 
 

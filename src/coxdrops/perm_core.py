@@ -20,6 +20,7 @@ import itertools
 import math
 import operator
 import os
+import sys
 from collections import Counter
 from typing import Callable, Hashable, Iterator, Sequence
 
@@ -214,14 +215,13 @@ def nsum(s: Sequence[int]) -> int:
     return -sum(v for v in s if v < 0)
 
 
-def inv_a(s: Sequence[int]) -> int:
-    """Inversions of the signed window under the standard integer order."""
-    return sum(itertools.starmap(operator.gt, itertools.combinations(s, 2)))
+# inversions of a signed window under the standard integer order
+inv_a = inv
 
 
 def inv_b(s: Sequence[int]) -> int:
     """Type-B length: nsum + inv_a."""
-    return nsum(s) + inv_a(s)
+    return nsum(s) + inv(s)
 
 
 def drops_b(s: Sequence[int]) -> int:
@@ -433,6 +433,24 @@ def _suffix_masks(kind: str, m: int) -> tuple[bytes, bytes]:
     return bytes(masks[0]), bytes(masks[1])
 
 
+def _blocks(kind: str, n: int, m: int, start: int, stop: int):
+    # The blocks of the stream that share all but the last m positions and
+    # meet the rank range [start, stop): for each, its prefix, the unused
+    # absolute values in ascending order, the parity its suffix must have
+    # (see _prefix), its suffixes cut to the range, and whether the range
+    # holds the whole block.
+    masks = _suffix_masks(kind, m)
+    size = sum(masks[0])                       # elements per block
+    for base in range(start - start % size, stop, size):
+        prefix, rem, parity = _prefix(kind, n, base, n - m)
+        block = itertools.compress(
+            itertools.permutations(_choices(rem, kind in ("B", "D")), m), masks[parity])
+        whole = start <= base and base + size <= stop
+        if not whole:
+            block = itertools.islice(block, max(start - base, 0), stop - base)
+        yield prefix, rem, parity, block, whole
+
+
 def iter_group(kind: str, n: int, start: int = 0,
                stop: int | None = None) -> Iterator[Window]:
     """
@@ -452,17 +470,7 @@ def iter_group(kind: str, n: int, start: int = 0,
     stop = order if stop is None else min(stop, order)
     if not 0 <= start <= order:
         raise ValueError(f"start rank {start} out of range [0, {order}]")
-    if start >= stop:
-        return
-    m = min(n, _SUFFIX[kind])
-    masks = _suffix_masks(kind, m)
-    size = sum(masks[0])                       # elements per block
-    for base in range(start - start % size, stop, size):
-        prefix, rem, parity = _prefix(kind, n, base, n - m)
-        block = itertools.compress(
-            itertools.permutations(_choices(rem, kind in ("B", "D")), m), masks[parity])
-        if base < start or base + size > stop:
-            block = itertools.islice(block, max(start - base, 0), stop - base)
+    for prefix, _, _, block, _ in _blocks(kind, n, min(n, _SUFFIX[kind]), start, stop):
         yield from map(prefix.__add__, block)
 
 
@@ -489,10 +497,10 @@ def sweep(kind: str, n: int, hook: Callable[[Window], Hashable],
     depends on the worker count.  The hook must be a module-level function,
     since workers receive it pickled by name.
 
-    A hook marked with :func:`coxdrops.additive.block_additive` carries the
-    block-table path (:func:`coxdrops.additive.count_blocks`): it is called
-    once per first suffix value of each block, and a cached table of key
-    differences supplies the rest of the block.  Any other hook is called
+    A hook marked with :func:`block_additive` is counted a block at a time:
+    it is called once per first suffix value of each block, and a table of
+    key differences, built from the first block of the same unused values,
+    supplies the rest of the block.  Any other hook is called
     on every element; only then is the order of the keys the rank order of
     the first element giving each, and so only such hooks return witnesses.
 
@@ -526,3 +534,116 @@ def _count(kind: str, n: int, hook: Callable[[Window], Hashable],
            start: int, stop: int) -> Counter:
     # element-wise: the oracle the block-table path is tested against
     return Counter(map(hook, iter_group(kind, n, start, stop)))
+
+
+# ---------------------------------------------------------------------------
+# block tables: additive hooks counted a block at a time
+# ---------------------------------------------------------------------------
+
+def block_additive(hook: Callable[[Window], Hashable]) -> Callable[[Window], Hashable]:
+    """
+    Mark a sweep hook as additive, so that :func:`sweep` counts it a block
+    at a time.
+
+    The hook must return a signed monomial key (a, b, c, d, s): four
+    exponents in [0, 2**15) and a parity bit.  Take two windows that share
+    a prefix of at least two positions and the first entry after it.  The
+    difference of their keys (exponents subtracted, parities added mod 2)
+    must not depend on that prefix, only on the two suffixes.  Sums of
+    per-position terms, adjacent-pair terms and inversion counts have this
+    property, in every group: inversions between the prefix and the suffix
+    change with the suffix only through its negated entries, and negating
+    u changes them by the number of unused absolute values below u.
+    """
+    hook.sweep_count = _count_blocks
+    return hook
+
+
+# Suffix length of a table block: the most positions whose tables pay for
+# themselves at n = 9 (S, A) and n = 7 (B, D), where building a table for
+# every unused set costs about as many hook calls as the blocks do.
+_TABLE_SUFFIX = {"S": 5, "A": 5, "B": 4, "D": 4}
+
+# A key packs into one int, 15 bits per exponent and the parity above them.
+# Adding packed differences adds exponents; the parity field adds too, and
+# is read mod 2.
+_BITS = 15
+_FIELD = (1 << _BITS) - 1
+_LOW = (1 << 4 * _BITS) - 1
+_PARITY = 1 << 4 * _BITS
+
+
+def _pack(key) -> int:
+    a, b, c, d, s = key
+    if not (0 <= a <= _FIELD and 0 <= b <= _FIELD and 0 <= c <= _FIELD
+            and 0 <= d <= _FIELD and s in (0, 1)):
+        raise ValueError(f"block-additive hook returned {key!r}, "
+                         "not a signed monomial key")
+    return a | b << _BITS | c << 2 * _BITS | d << 3 * _BITS | s << 4 * _BITS
+
+
+def _unpack(k: int) -> tuple[int, ...]:
+    return (k & _FIELD, k >> _BITS & _FIELD, k >> 2 * _BITS & _FIELD,
+            k >> 3 * _BITS & _FIELD, k >> 4 * _BITS & 1)
+
+
+def _count_blocks(kind: str, n: int, hook: Callable[[Window], Hashable],
+                  start: int, stop: int) -> Counter:
+    # The table path of sweep.  A context is the unused values and, in A_n
+    # and D_n, the parity the suffix must have.  The first whole block of a
+    # context is counted element-wise while its table is built (see
+    # _delta_table); every later one is one hook call on prefix + reference
+    # per first suffix value, that key shifted by each difference.  Blocks
+    # cut by the rank range, and groups too small for a suffix of two
+    # positions after a prefix of two, go element-wise.
+    m = min(_TABLE_SUFFIX[kind], n - 2)
+    if m < 2:
+        return _count(kind, n, hook, start, stop)
+    counter: Counter = Counter()
+    packed: Counter = Counter()
+    tables: dict[tuple, tuple] = {}
+    for prefix, rem, parity, block, whole in _blocks(kind, n, m, start, stop):
+        # S_n and B_n blocks take the same suffixes at either parity
+        context = (*rem, parity if kind in ("A", "D") else 0)
+        if not whole:
+            counter.update(map(hook, map(prefix.__add__, block)))
+        elif context not in tables:
+            tables[context] = _delta_table(hook, prefix, block, packed)
+        else:
+            rows, diffs, counts = tables[context]
+            shifts = zip(diffs, counts)
+            for ref, width in rows:
+                k0 = _pack(hook(prefix + ref))
+                for d, c in itertools.islice(shifts, width):
+                    packed[k0 + d] += c
+    for k, c in packed.items():
+        counter[_unpack(k)] += c
+    return counter
+
+
+def _delta_table(hook, prefix: Window, block, packed: Counter
+                 ) -> tuple[list[tuple[Window, int]], memoryview, memoryview]:
+    # counts the block's packed keys into `packed`, and returns one row per
+    # first suffix value u: a reference suffix starting with u and the number
+    # of distinct packed key differences of the suffixes starting with u (a
+    # parity flip adds one to the parity field); the rows' differences, then
+    # their counts, follow each other in two int64 sequences
+    firsts: dict[int, tuple] = {}
+    for suffix in block:
+        key = _pack(hook(prefix + suffix))
+        packed[key] += 1
+        if suffix[0] not in firsts:
+            firsts[suffix[0]] = (suffix, key, Counter())
+        ref, base, diffs = firsts[suffix[0]]
+        diffs[(key & _LOW) - (base & _LOW) + ((key ^ base) & _PARITY)] += 1
+    tallies = [diffs for _, _, diffs in firsts.values()]
+    return ([(ref, len(diffs)) for ref, _, diffs in firsts.values()],
+            _int64s(itertools.chain(*tallies)),
+            _int64s(itertools.chain(*(t.values() for t in tallies))))
+
+
+def _int64s(values) -> memoryview:
+    # 8 bytes an entry, without the array extension module, whose import
+    # alone keeps about 260 KiB more of every process resident
+    return memoryview(b"".join(
+        v.to_bytes(8, sys.byteorder, signed=True) for v in values)).cast("q")

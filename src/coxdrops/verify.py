@@ -20,7 +20,6 @@ from typing import Callable, Iterator
 
 from . import genpoly as gp
 from . import perm_core as pc
-from .additive import block_additive
 from .genpoly import MultiPoly, jfraction_convergent
 from .involutions import (_swap_magnitudes, _swap_positions, _toggle_a,
                           _toggle_b, fixed_points)
@@ -66,14 +65,14 @@ def _witness(keys) -> str | None:
     return next((k for k in keys if k is not None), None)
 
 
-@block_additive
+@pc.block_additive
 def _bivariate_key(w):
     # t^exc p^depth q^drops x^des
     _, drops, depth, _, exc, des = pc._scan(w)
     return exc, depth, drops, des, 0
 
 
-@block_additive
+@pc.block_additive
 def _zdrops_key(s):
     # (-1)^inv_d t^#negatives q^zdrops over all of B_n; an even count of
     # negatives puts s in D_n

@@ -437,6 +437,27 @@ def _no_sweep(*args, **kwargs):
     raise AssertionError("a sweep started")
 
 
+def test_cfrac_verb_refuses_an_order_over_budget(capsys, monkeypatch):
+    monkeypatch.setattr(cli.gp, "jfraction_convergent", _no_sweep)
+    with pytest.raises(SystemExit) as exc:
+        main(["cfrac", "--order", "60"])
+    assert exc.value.code == 2
+    assert ("cfrac would fill the path transfer to order 60 (204,181,352 cells)"
+            in capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "--elem", "1,2", "--out"],
+    ["verify", "cfrac", "--n", "2", "--out"],
+    ["match", "--n", "3", "--dot"],
+])
+def test_an_unwritable_output_path_is_reported(capsys, tmp_path, argv):
+    path = tmp_path / "missing" / "x"
+    assert main([*argv, str(path)]) == 2
+    assert (capsys.readouterr().err
+            == f"error: cannot write {path}: No such file or directory\n")
+
+
 @pytest.mark.parametrize("argv, part", [
     (["cfrac", "--n", "12"], "cfrac would sweep S_12 (479,001,600 elements)"),
     (["invol", "--n", "9"], "invol would sweep B_9 (185,794,560 elements)"),

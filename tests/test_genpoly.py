@@ -441,7 +441,8 @@ def test_even_subgroup_moments_match():
 def test_even_subgroup_drops_identity():
     # 2 * (drops enumerator of A_n) = (enumerator of S_n) + (1-q)^(n-1)
     for n in range(1, 9):
-        lhs = drops_poly("A", n).scale(2)
+        poly = drops_poly("A", n)
+        lhs = poly + poly
         rhs = drops_poly("S", n) + one_minus("q", n - 1)
         assert lhs == rhs
 

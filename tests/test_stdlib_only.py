@@ -19,3 +19,8 @@ def test_package_imports_only_the_standard_library():
     outside = [m for m in loaded if m.split(".")[0] != "coxdrops"
                and m.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+    # every module file is loaded, so none is left over
+    modules = {m for m in loaded if m.startswith("coxdrops.")}
+    files = {f"coxdrops.{p.stem}" for p in (SRC / "coxdrops").glob("*.py")
+             if p.stem not in ("__init__", "__main__")}
+    assert modules == files

@@ -1,15 +1,17 @@
 """
 The block-table path of perm_core.sweep against the element-wise count.
 
-Every hook marked with additive.block_additive in genpoly and verify is
+Every hook marked with perm_core.block_additive in genpoly and verify is
 found by its mark, so a hook marked later is covered with no change here.
 A mark promises the table invariant in every group, so each marked hook is
-checked on S, A, B and D alike.
+checked on S, A, B and D alike.  Each hook is also held to its definition
+from the public statistics, since a hook that is wrong but still additive
+agrees with itself on both paths.
 """
 
 import pytest
 
-from coxdrops import additive, genpoly, verify
+from coxdrops import genpoly, verify
 from coxdrops import perm_core as pc
 
 GROUPS = ([("S", n) for n in range(1, 9)] + [("A", n) for n in range(1, 9)]
@@ -19,12 +21,27 @@ RAGGED = (("S", 7), ("A", 7), ("B", 5), ("D", 6))
 
 MARKED = {f.__name__: f for module in (genpoly, verify)
           for f in vars(module).values()
-          if getattr(f, "sweep_count", None) is additive.count_blocks}
+          if getattr(f, "sweep_count", None) is pc._count_blocks}
 
 
-def outcome(count, kind, n, hook, start, stop):
+# each marked hook's key, built from the public statistics
+DEFINITIONS = {
+    "trivariate_key": lambda w: (pc.exc(w), pc.depth(w), pc.drops(w), 0, pc.inv(w) % 2),
+    "drops_key_s": lambda w: (0, 0, pc.drops(w), 0, pc.inv(w) % 2),
+    "drops_key_b": lambda s: (0, 0, pc.drops_b(s), 0, pc.inv_b(s) % 2),
+    "drops_key_d": lambda s: (0, 0, pc.drops_d(s), 0, pc.inv_d(s) % 2),
+    "_unsigned_drops_key": lambda w: (0, 0, pc.drops(w), 0, 0),
+    "_dep_inv_key": lambda w: (0, 0, pc.inv(w), pc.depth(w), 0),
+    "_bivariate_key": lambda w: (pc.exc(w), pc.depth(w), pc.drops(w), pc.des(w), 0),
+    "_zdrops_key": lambda s: (len(pc.negs(s)), 0, pc.zdrops(s), 0, pc.inv_d(s) % 2),
+}
+DEFINED_ON = ([("S", n) for n in range(1, 8)] + [("A", n) for n in range(1, 8)]
+              + [("B", n) for n in range(1, 6)] + [("D", n) for n in range(2, 6)])
+
+
+def outcome(count, *args):
     try:
-        return count(kind, n, hook, start, stop)
+        return count(*args)
     except ValueError as exc:                  # drops_d needs n >= 2
         return str(exc)
 
@@ -34,7 +51,7 @@ def mismatches(hook, groups):
     bad = []
     for kind, n in groups:
         order = pc.group_order(kind, n)
-        if (outcome(additive.count_blocks, kind, n, hook, 0, order)
+        if (outcome(pc._count_blocks, kind, n, hook, 0, order)
                 != outcome(pc._count, kind, n, hook, 0, order)):
             bad.append((kind, n))
     return bad
@@ -50,6 +67,34 @@ def test_the_additive_hooks_are_marked():
         "_unsigned_drops_key", "_dep_inv_key", "_bivariate_key", "_zdrops_key"}
 
 
+def test_every_marked_hook_has_a_definition():
+    assert set(DEFINITIONS) == set(MARKED)
+
+
+@pytest.mark.parametrize("name", sorted(MARKED))
+def test_marked_hooks_equal_their_definitions(name):
+    hook, definition = MARKED[name], DEFINITIONS[name]
+    for kind, n in DEFINED_ON:
+        for w in pc.iter_group(kind, n):
+            assert outcome(hook, w) == outcome(definition, w), (kind, w)
+
+
+def test_each_context_builds_its_table_from_a_counted_block():
+    # S_8 with 5-position tables: 56 unused sets, each counted element-wise
+    # over its first block (5! calls), and the other 280 of the 8*7*6
+    # blocks at one call per first suffix value
+    calls = 0
+
+    @pc.block_additive
+    def counted(w):
+        nonlocal calls
+        calls += 1
+        return genpoly.drops_key_s(w)
+
+    assert pc.sweep("S", 8, counted) == pc._count("S", 8, genpoly.drops_key_s, 0, 40320)
+    assert calls == 56 * 120 + 280 * 5 == 8120
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("name", sorted(MARKED))
 def test_table_path_equals_the_element_wise_count(name):
@@ -60,7 +105,7 @@ def test_a_wrong_mark_is_caught():
     # mad counts embracing descent runs, which can reach from the prefix
     # into the suffix; over B_n and D_n that makes its differences depend on
     # the prefix
-    hook = additive.block_additive(_drops_mad_key)
+    hook = pc.block_additive(_drops_mad_key)
     assert mismatches(hook, [("B", 5), ("D", 5)]) == [("B", 5), ("D", 5)]
 
 
@@ -69,11 +114,11 @@ def test_ragged_ranges_cut_blocks(name):
     hook = MARKED[name]
     for kind, n in RAGGED:
         order = pc.group_order(kind, n)
-        size = pc._place(kind, n, n - min(additive._TABLE_SUFFIX[kind], n - 2) - 1)
+        size = pc._place(kind, n, n - min(pc._TABLE_SUFFIX[kind], n - 2) - 1)
         ranges = ((1, order - 1), (size - 1, size + 3), (size + 3, 3 * size - 2),
                   (order // 3 + 7, order - size - 1))
         for start, stop in ranges:
-            assert (additive.count_blocks(kind, n, hook, start, stop)
+            assert (pc._count_blocks(kind, n, hook, start, stop)
                     == pc._count(kind, n, hook, start, stop)), (kind, n, start, stop)
 
 
@@ -87,7 +132,7 @@ def test_parallel_chunks_match_the_element_wise_count(monkeypatch):
 
 
 def test_keys_out_of_range_are_refused():
-    @additive.block_additive
+    @pc.block_additive
     def negative(w):
         return -1, 0, 0, 0, 0
 
