@@ -189,10 +189,12 @@ def _swap_magnitudes(s: Sequence[int], i: int, j: int) -> Window:
 
 def pair_map_bd(s: Sequence[int]) -> Window:
     """
-    The pairing used to cancel the signed zdrops sum over B_n - D_n: swap
-    the magnitudes of the entries +-(n-1) and +-n, keeping each position's
-    sign.  Defined on windows where +-(n-1) occurs left of +-n; the image
-    has them in the opposite order and the type-D length parity flipped.
+    Swap the magnitudes of the entries +-(n-1) and +-n, keeping each
+    position's sign.  Defined on windows where +-(n-1) occurs left of +-n;
+    the image has them in the opposite order and the type-D length parity
+    flipped.  It moves zdrops by -1, 0 or +1 (on 42,240, 238,080 and 42,240
+    of the 322,560 such windows of B_7), so it cancels no signed zdrops sum
+    pair by pair.
 
     >>> pair_map_bd((1, -2))
     (2, -1)
@@ -209,8 +211,9 @@ def pair_map_bd(s: Sequence[int]) -> Window:
 
 def pair_map_d(s: Sequence[int]) -> Window:
     """
-    The same magnitude swap restricted to D_n, pairing off the signed
-    drops_d sum in the inductive step.
+    The same magnitude swap restricted to D_n.  It flips the type-D length
+    parity too, but moves drops_d by -1, 0, +1 or +2 (on 3,840, 117,120,
+    38,400 and 1,920 of the 161,280 such windows of D_7).
 
     >>> pair_map_d((-1, -2))
     (-2, -1)

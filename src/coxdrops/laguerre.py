@@ -221,7 +221,8 @@ def nest_at(p: Sequence[int], i: int) -> int:
 
 
 def nest(p: Sequence[int]) -> int:
-    return sum(nest_at(p, i) for i in range(1, len(p) + 1))
+    """Total nesting: the sum of nest_at over all positions, in one pass."""
+    return sum(_history(validate_permutation(p)).labels)
 
 
 def fz_history(p: Sequence[int]) -> LaguerreHistory:

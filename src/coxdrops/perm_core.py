@@ -433,24 +433,6 @@ def _suffix_masks(kind: str, m: int) -> tuple[bytes, bytes]:
     return bytes(masks[0]), bytes(masks[1])
 
 
-def _blocks(kind: str, n: int, m: int, start: int, stop: int):
-    # The blocks of the stream that share all but the last m positions and
-    # meet the rank range [start, stop): for each, its prefix, the unused
-    # absolute values in ascending order, the parity its suffix must have
-    # (see _prefix), its suffixes cut to the range, and whether the range
-    # holds the whole block.
-    masks = _suffix_masks(kind, m)
-    size = sum(masks[0])                       # elements per block
-    for base in range(start - start % size, stop, size):
-        prefix, rem, parity = _prefix(kind, n, base, n - m)
-        block = itertools.compress(
-            itertools.permutations(_choices(rem, kind in ("B", "D")), m), masks[parity])
-        whole = start <= base and base + size <= stop
-        if not whole:
-            block = itertools.islice(block, max(start - base, 0), stop - base)
-        yield prefix, rem, parity, block, whole
-
-
 def iter_group(kind: str, n: int, start: int = 0,
                stop: int | None = None) -> Iterator[Window]:
     """
@@ -470,7 +452,15 @@ def iter_group(kind: str, n: int, start: int = 0,
     stop = order if stop is None else min(stop, order)
     if not 0 <= start <= order:
         raise ValueError(f"start rank {start} out of range [0, {order}]")
-    for prefix, _, _, block, _ in _blocks(kind, n, min(n, _SUFFIX[kind]), start, stop):
+    m = min(n, _SUFFIX[kind])
+    masks = _suffix_masks(kind, m)
+    size = sum(masks[0])                       # elements per block
+    for base in range(start - start % size, stop, size):
+        prefix, rem, parity = _prefix(kind, n, base, n - m)
+        block = itertools.compress(
+            itertools.permutations(_choices(rem, kind in ("B", "D")), m), masks[parity])
+        if not (start <= base and base + size <= stop):
+            block = itertools.islice(block, max(start - base, 0), stop - base)
         yield from map(prefix.__add__, block)
 
 
@@ -492,16 +482,21 @@ def sweep(kind: str, n: int, hook: Callable[[Window], Hashable],
     """
     Count hook(w) over every element w of the group.
 
-    With ``threads`` > 1 and a large enough group, disjoint rank ranges are
-    counted in a process pool and merged in rank order, so the result never
-    depends on the worker count.  The hook must be a module-level function,
-    since workers receive it pickled by name.
+    With ``threads`` > 1 and a large enough group, the group is cut into
+    disjoint shares counted in a process pool, and the partial counters are
+    merged in share order, so the result never depends on the worker count.
+    The hook must be a module-level function, since workers receive it
+    pickled by name.
 
-    A hook marked with :func:`block_additive` is counted a block at a time:
-    it is called once per first suffix value of each block, and a table of
-    key differences, built from the first block of the same unused values,
-    supplies the rest of the block.  Any other hook is called
-    on every element; only then is the order of the keys the rank order of
+    A hook marked with :func:`block_additive` is counted a block at a time,
+    walking the group by context: the unused values of a block's last
+    positions and, in A_n and D_n, the parity they must have.  The first
+    block of a context is counted element-wise while a table of key
+    differences is built from it; every other block with that context is
+    one hook call per first suffix value, shifted by the table.  Workers
+    split such a hook by context, one share each, so each table is built
+    once.  Any other hook is called on every element, and workers split it
+    into rank ranges; only then is the order of the keys the rank order of
     the first element giving each, and so only such hooks return witnesses.
 
     >>> dict(sweep("S", 3, des))
@@ -511,19 +506,15 @@ def sweep(kind: str, n: int, hook: Callable[[Window], Hashable],
     count = getattr(hook, "sweep_count", _count)
     workers = pool_size(threads, os.cpu_count())
     if workers == 1 or total < _PARALLEL_CUTOFF:
-        return count(kind, n, hook, 0, total)
+        return count(kind, n, hook, 0, 1)
     import multiprocessing
     try:
         context = multiprocessing.get_context("fork")
     except ValueError:                         # no fork on this platform
         context = multiprocessing.get_context()
-    # a table-path piece builds the tables of nearly every unused set it
-    # meets, so it gets one piece per worker
     pieces = min(workers * 4, 128) if count is _count else workers
     with context.Pool(workers) as pool:
-        parts = pool.starmap(count, [
-            (kind, n, hook, total * i // pieces, total * (i + 1) // pieces)
-            for i in range(pieces)])
+        parts = pool.starmap(count, [(kind, n, hook, i, pieces) for i in range(pieces)])
     counter: Counter = Counter()
     for part in parts:
         counter.update(part)
@@ -531,9 +522,12 @@ def sweep(kind: str, n: int, hook: Callable[[Window], Hashable],
 
 
 def _count(kind: str, n: int, hook: Callable[[Window], Hashable],
-           start: int, stop: int) -> Counter:
-    # element-wise: the oracle the block-table path is tested against
-    return Counter(map(hook, iter_group(kind, n, start, stop)))
+           share: int, shares: int) -> Counter:
+    # element-wise over the share-th of `shares` equal rank ranges: the
+    # oracle the block-table path is tested against
+    total = group_order(kind, n)
+    return Counter(map(hook, iter_group(
+        kind, n, total * share // shares, total * (share + 1) // shares)))
 
 
 # ---------------------------------------------------------------------------
@@ -588,34 +582,39 @@ def _unpack(k: int) -> tuple[int, ...]:
 
 
 def _count_blocks(kind: str, n: int, hook: Callable[[Window], Hashable],
-                  start: int, stop: int) -> Counter:
-    # The table path of sweep.  A context is the unused values and, in A_n
-    # and D_n, the parity the suffix must have.  The first whole block of a
-    # context is counted element-wise while its table is built (see
-    # _delta_table); every later one is one hook call on prefix + reference
-    # per first suffix value, that key shifted by each difference.  Blocks
-    # cut by the rank range, and groups too small for a suffix of two
-    # positions after a prefix of two, go element-wise.
+                  share: int, shares: int) -> Counter:
+    # The table path of sweep, over the contexts whose index is share mod
+    # shares.  A context is m unused values and, in A_n and D_n, the parity
+    # the suffix must have; every prefix over the other values that leaves
+    # that parity takes the same suffixes.  The first prefix's block is
+    # counted element-wise while its table is built (see _delta_table);
+    # every other one is one hook call on prefix + reference per first
+    # suffix value, that key shifted by each difference.  Groups too small
+    # for a suffix of two positions after a prefix of two go element-wise.
     m = min(_TABLE_SUFFIX[kind], n - 2)
     if m < 2:
-        return _count(kind, n, hook, start, stop)
-    counter: Counter = Counter()
+        return _count(kind, n, hook, share, shares)
+    signed = kind in ("B", "D")
+    outer, inner = _suffix_masks(kind, n - m), _suffix_masks(kind, m)
+    contexts = itertools.product(itertools.combinations(range(1, n + 1), m),
+                                 (0, 1) if kind in ("A", "D") else (0,))
     packed: Counter = Counter()
-    tables: dict[tuple, tuple] = {}
-    for prefix, rem, parity, block, whole in _blocks(kind, n, m, start, stop):
-        # S_n and B_n blocks take the same suffixes at either parity
-        context = (*rem, parity if kind in ("A", "D") else 0)
-        if not whole:
-            counter.update(map(hook, map(prefix.__add__, block)))
-        elif context not in tables:
-            tables[context] = _delta_table(hook, prefix, block, packed)
-        else:
-            rows, diffs, counts = tables[context]
+    for rem, parity in itertools.islice(contexts, share, None, shares):
+        used = [v for v in range(1, n + 1) if v not in rem]
+        # the A_n parity is the prefix's digit sum: inv(prefix) plus the
+        # pairs of a used value above an unused one, whatever their order
+        cross = sum(v > r for v in used for r in rem) if kind == "A" else 0
+        prefixes = itertools.compress(itertools.permutations(
+            _choices(used, signed), n - m), outer[(parity + cross) & 1])
+        rows, diffs, counts = _delta_table(hook, next(prefixes), itertools.compress(
+            itertools.permutations(_choices(list(rem), signed), m), inner[parity]), packed)
+        for prefix in prefixes:
             shifts = zip(diffs, counts)
             for ref, width in rows:
                 k0 = _pack(hook(prefix + ref))
                 for d, c in itertools.islice(shifts, width):
                     packed[k0 + d] += c
+    counter: Counter = Counter()
     for k, c in packed.items():
         counter[_unpack(k)] += c
     return counter

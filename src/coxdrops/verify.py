@@ -2,9 +2,10 @@
 Batch verification suites: one claim per enumerative identity, each checked
 by exhaustive computation over the relevant group.
 
-Every sweep goes through perm_core.sweep, which splits heavy ones into
-disjoint rank ranges for a process pool and merges the partial counters in
-rank order, so the report content never depends on the worker count.
+Every sweep goes through perm_core.sweep, which splits heavy ones over a
+process pool, block-additive hooks by table context and element-wise hooks
+by rank range, and merges the partial counters in order, so the report
+content never depends on the worker count.
 """
 
 from __future__ import annotations

@@ -295,6 +295,24 @@ def test_pair_map_shift_examples():
     assert pc.zdrops((2, -1)) == pc.zdrops((1, -2))
 
 
+def test_pair_maps_flip_the_parity_but_shift_the_drops():
+    # at n = 5: the swap flips the type-D length parity of every window it
+    # is defined on, yet moves zdrops (on B_5) and drops_d (on D_5) unevenly,
+    # so neither map cancels its signed sum pair by pair
+    n = 5
+    zdrops_shifts, drops_d_shifts = Counter(), Counter()
+    for s in _sides(pc.iter_group("B", n), n)[0]:
+        y = pair_map_bd(s)
+        assert (pc.inv_d(y) - pc.inv_d(s)) % 2 == 1, s
+        zdrops_shifts[pc.zdrops(y) - pc.zdrops(s)] += 1
+        if pc.in_type_d(s):
+            y = pair_map_d(s)
+            assert (pc.inv_d(y) - pc.inv_d(s)) % 2 == 1, s
+            drops_d_shifts[pc.drops_d(y) - pc.drops_d(s)] += 1
+    assert zdrops_shifts == {-1: 336, 0: 1248, 1: 336}
+    assert drops_d_shifts == {-1: 48, 0: 600, 1: 288, 2: 24}
+
+
 def test_pair_map_domain_errors():
     with pytest.raises(ValueError):
         pair_map_bd((2, 1))                    # largest letter first

@@ -47,6 +47,12 @@ def test_nest_examples():
     assert nest((3, 1, 2)) == 0
 
 
+def test_nest_sums_nest_at():
+    for n in range(9):
+        for w in pc.iter_group("S", n):
+            assert nest(w) == sum(nest_at(w, i) for i in range(1, n + 1)), w
+
+
 # ---------------------------------------------------------------------------
 # histories
 # ---------------------------------------------------------------------------

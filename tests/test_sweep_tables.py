@@ -9,6 +9,9 @@ from the public statistics, since a hook that is wrong but still additive
 agrees with itself on both paths.
 """
 
+import math
+from collections import Counter
+
 import pytest
 
 from coxdrops import genpoly, verify
@@ -50,9 +53,8 @@ def mismatches(hook, groups):
     """The groups on which the table path and the element-wise count differ."""
     bad = []
     for kind, n in groups:
-        order = pc.group_order(kind, n)
-        if (outcome(pc._count_blocks, kind, n, hook, 0, order)
-                != outcome(pc._count, kind, n, hook, 0, order)):
+        if (outcome(pc._count_blocks, kind, n, hook, 0, 1)
+                != outcome(pc._count, kind, n, hook, 0, 1)):
             bad.append((kind, n))
     return bad
 
@@ -82,7 +84,8 @@ def test_marked_hooks_equal_their_definitions(name):
 def test_each_context_builds_its_table_from_a_counted_block():
     # S_8 with 5-position tables: 56 unused sets, each counted element-wise
     # over its first block (5! calls), and the other 280 of the 8*7*6
-    # blocks at one call per first suffix value
+    # blocks at one call per first suffix value.  Split into shares by
+    # context, each table is still built once.
     calls = 0
 
     @pc.block_additive
@@ -91,8 +94,14 @@ def test_each_context_builds_its_table_from_a_counted_block():
         calls += 1
         return genpoly.drops_key_s(w)
 
-    assert pc.sweep("S", 8, counted) == pc._count("S", 8, genpoly.drops_key_s, 0, 40320)
+    want = pc._count("S", 8, genpoly.drops_key_s, 0, 1)
+    assert pc.sweep("S", 8, counted) == want
     assert calls == 56 * 120 + 280 * 5 == 8120
+    for shares in (2, 3):
+        calls = 0
+        assert sum((pc._count_blocks("S", 8, counted, i, shares)
+                    for i in range(shares)), Counter()) == want
+        assert calls == 8120
 
 
 @pytest.mark.slow
@@ -109,17 +118,24 @@ def test_a_wrong_mark_is_caught():
     assert mismatches(hook, [("B", 5), ("D", 5)]) == [("B", 5), ("D", 5)]
 
 
+def contexts(kind, n):
+    # unused sets of a table block, times the two suffix parities in A and D
+    return math.comb(n, min(pc._TABLE_SUFFIX[kind], n - 2)) * (2 if kind in "AD" else 1)
+
+
 @pytest.mark.parametrize("name", sorted(MARKED))
-def test_ragged_ranges_cut_blocks(name):
+def test_shares_sum_to_the_element_wise_count(name):
     hook = MARKED[name]
     for kind, n in RAGGED:
-        order = pc.group_order(kind, n)
-        size = pc._place(kind, n, n - min(pc._TABLE_SUFFIX[kind], n - 2) - 1)
-        ranges = ((1, order - 1), (size - 1, size + 3), (size + 3, 3 * size - 2),
-                  (order // 3 + 7, order - size - 1))
-        for start, stop in ranges:
-            assert (pc._count_blocks(kind, n, hook, start, stop)
-                    == pc._count(kind, n, hook, start, stop)), (kind, n, start, stop)
+        want = pc._count(kind, n, hook, 0, 1)
+        for shares in (1, 2, 3, 5, 7):
+            parts = [pc._count_blocks(kind, n, hook, i, shares) for i in range(shares)]
+            assert sum(parts, Counter()) == want, (kind, n, shares)
+        # with more shares than contexts, those past the last context count
+        # nothing
+        last = contexts(kind, n) - 1
+        tail = [pc._count_blocks(kind, n, hook, i, last + 3) for i in (last, last + 1, last + 2)]
+        assert tail[0] and tail[1:] == [Counter(), Counter()], (kind, n)
 
 
 def test_parallel_chunks_match_the_element_wise_count(monkeypatch):
@@ -127,8 +143,7 @@ def test_parallel_chunks_match_the_element_wise_count(monkeypatch):
     monkeypatch.setattr(pc, "_PARALLEL_CUTOFF", 0)
     for name, hook in sorted(MARKED.items()):
         for kind, n in RAGGED:
-            order = pc.group_order(kind, n)
-            assert pc.sweep(kind, n, hook, threads=2) == pc._count(kind, n, hook, 0, order)
+            assert pc.sweep(kind, n, hook, threads=2) == pc._count(kind, n, hook, 0, 1)
 
 
 def test_keys_out_of_range_are_refused():

@@ -33,7 +33,7 @@ ROUTES = (
 
 @functools.lru_cache(maxsize=None)
 def swept(kind, n, hook):
-    return gp.poly_from_counter(pc._count(kind, n, hook, 0, pc.group_order(kind, n)))
+    return gp.poly_from_counter(pc._count(kind, n, hook, 0, 1))
 
 
 def _cases():

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import itertools
 import json
 import math
@@ -162,19 +163,22 @@ def test_run_claims_subset():
     assert all(r.ok for r in reports)
 
 
-def test_parallel_chunks_match_serial():
-    serial = [r for r in run_claim("thm-typeB", ns=(5,), threads=1)]
-    # force chunking by dropping the cutoff
+# the claims whose hooks are block-additive, at sizes of many table contexts
+TABLE_CLAIMS = {"thm1.1": 7, "thm1.3": 7, "cor1.4": 7, "thm-typeB": 5,
+                "thm-typeD": 6, "lemma7.2": 5, "cfrac": 7, "moments": 7}
+
+
+def test_parallel_chunks_match_serial(monkeypatch):
     import coxdrops.perm_core as pc
-    old = pc._PARALLEL_CUTOFF
-    pc._PARALLEL_CUTOFF = 1
-    try:
-        parallel = [r for r in run_claim("thm-typeB", ns=(5,), threads=2)]
-    finally:
-        pc._PARALLEL_CUTOFF = old
-    strip = lambda rs: [(r.claim, r.group, r.n, r.status, r.witness, r.count)
-                        for r in rs]
-    assert strip(serial) == strip(parallel)
+    serial = {name: list(run_claim(name, ns=(n,), threads=1))
+              for name, n in TABLE_CLAIMS.items()}
+    # force chunking by dropping the cutoff
+    monkeypatch.setattr(pc.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(pc, "_PARALLEL_CUTOFF", 1)
+    strip = lambda rs: [dataclasses.replace(r, elapsed_ms=0) for r in rs]
+    for name, n in TABLE_CLAIMS.items():
+        parallel = list(run_claim(name, ns=(n,), threads=2))
+        assert strip(parallel) == strip(serial[name]), name
 
 
 def test_failing_report_carries_witness(monkeypatch):
