@@ -105,15 +105,11 @@ def build_matching(kind: str, n: int) -> list[MatchingEdge]:
         raise ValueError("matching needs n >= 2")
     invol = involution_a if kind == "S" else involution_b
     edges = []
-    seen = set()
     for w in iter_group(kind, n):
-        if w in seen:
-            continue
-        rep = invol(w)
-        if not rep.fixed:
-            other = rep.output
-            seen.add(w)
-            seen.add(other)
+        other = invol(w).output
+        # each pair is kept once, at the element the stream reaches first:
+        # the stream runs in tuple order, signed windows too
+        if w < other:
             lower, upper = ((w, other) if _length(kind, w) < _length(kind, other)
                             else (other, w))
             edges.append(MatchingEdge(lower, upper, "involution"))

@@ -469,48 +469,15 @@ def jfraction_convergent(order: int) -> TruncatedSeries:
 
 
 # ---------------------------------------------------------------------------
-# descent blocks and the MAD statistic
+# the MAD statistic
 # ---------------------------------------------------------------------------
-
-def descent_blocks(p: Sequence[int]) -> list[tuple[int, ...]]:
-    """
-    Maximal strictly-decreasing runs; concatenating them gives back p.
-
-    >>> descent_blocks((2, 3, 1))
-    [(2,), (3, 1)]
-    """
-    if not p:
-        return []
-    blocks: list[tuple[int, ...]] = []
-    cur = [p[0]]
-    for v in p[1:]:
-        if cur[-1] > v:
-            cur.append(v)
-        else:
-            blocks.append(tuple(cur))
-            cur = [v]
-    blocks.append(tuple(cur))
-    return blocks
-
-
-def right_embracings(p: Sequence[int]) -> tuple[int, ...]:
-    """
-    For each letter, the number of descent blocks strictly to its right
-    whose first letter exceeds it and whose last letter is below it; blocks
-    of length one never embrace.
-    """
-    blocks = descent_blocks(p)
-    out = []
-    for bi, block in enumerate(blocks):
-        later = [b for b in blocks[bi + 1:] if len(b) >= 2]
-        for v in block:
-            out.append(sum(1 for b in later if b[0] > v > b[-1]))
-    return tuple(out)
-
 
 def mad(p: Sequence[int]) -> int:
     """
-    The Mahonian statistic drops + total right-embracing count.
+    The Mahonian statistic drops + total right-embracing count.  A letter is
+    right-embraced by each descent block (maximal strictly decreasing run)
+    of two or more letters strictly to its right whose first letter exceeds
+    it and whose last letter is below it.
 
     >>> mad((2, 3, 1))
     3

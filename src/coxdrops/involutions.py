@@ -1,6 +1,5 @@
 """
-Sign-reversing involutions on S_n and B_n, the fixed-point generators, and
-the type-D pairing maps.
+Sign-reversing involutions on S_n and B_n and the fixed-point generators.
 
 The involutions are defined on canonical reduced words (see
 ``reduced_words``): toggling one letter of a canonical word multiplies the
@@ -36,7 +35,7 @@ import json
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .perm_core import (Window, check_group, format_window, in_type_d,
+from .perm_core import (Window, check_group, format_window,
                         validate_permutation, validate_signed)
 from .reduced_words import evaluate_word
 
@@ -163,15 +162,8 @@ def fixed_points(kind: str, n: int) -> Iterator[Window]:
 
 
 # ---------------------------------------------------------------------------
-# type-D pairing maps
+# the swaps the involutions apply
 # ---------------------------------------------------------------------------
-
-def _top_positions(s: Sequence[int]) -> tuple[int, int]:
-    n = len(s)
-    ia = next(i for i, x in enumerate(s) if abs(x) == n - 1)
-    ib = next(i for i, x in enumerate(s) if abs(x) == n)
-    return ia, ib
-
 
 def _swap_positions(p: Sequence[int], i: int, j: int) -> Window:
     out = list(p)
@@ -185,40 +177,3 @@ def _swap_magnitudes(s: Sequence[int], i: int, j: int) -> Window:
     out[i] = abs(s[j]) if s[i] > 0 else -abs(s[j])
     out[j] = abs(s[i]) if s[j] > 0 else -abs(s[i])
     return tuple(out)
-
-
-def pair_map_bd(s: Sequence[int]) -> Window:
-    """
-    Swap the magnitudes of the entries +-(n-1) and +-n, keeping each
-    position's sign.  Defined on windows where +-(n-1) occurs left of +-n;
-    the image has them in the opposite order and the type-D length parity
-    flipped.  It moves zdrops by -1, 0 or +1 (on 42,240, 238,080 and 42,240
-    of the 322,560 such windows of B_7), so it cancels no signed zdrops sum
-    pair by pair.
-
-    >>> pair_map_bd((1, -2))
-    (2, -1)
-    """
-    s = validate_signed(s)
-    if len(s) < 2:
-        raise ValueError("pairing needs n >= 2")
-    ia, ib = _top_positions(s)
-    if ia > ib:
-        raise ValueError(
-            f"{format_window(s)}: the letter +-{len(s) - 1} must occur left of +-{len(s)}")
-    return _swap_magnitudes(s, ia, ib)
-
-
-def pair_map_d(s: Sequence[int]) -> Window:
-    """
-    The same magnitude swap restricted to D_n.  It flips the type-D length
-    parity too, but moves drops_d by -1, 0, +1 or +2 (on 3,840, 117,120,
-    38,400 and 1,920 of the 161,280 such windows of D_7).
-
-    >>> pair_map_d((-1, -2))
-    (-2, -1)
-    """
-    s = validate_signed(s)
-    if not in_type_d(s):
-        raise ValueError(f"{format_window(s)} has oddly many negatives; not in D_n")
-    return pair_map_bd(s)

@@ -14,12 +14,11 @@ LaguerreHistory(steps='NNSS', labels=(0, 1, 1, 0))
 
 from __future__ import annotations
 
-import itertools
 import json
 from dataclasses import dataclass
 from typing import Iterator, Sequence
 
-from .perm_core import Window, inverse, validate_permutation
+from .perm_core import Window, validate_permutation
 
 STEPS_2MOTZKIN = "NSED"
 STEPS_MOTZKIN = "NSE"
@@ -89,7 +88,24 @@ def max_height(steps: str) -> int:
 
 def motzkin_paths(n: int) -> Iterator[str]:
     """All Motzkin paths of length n (alphabet N S E)."""
-    return _paths(n, STEPS_MOTZKIN)
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    acc: list[str] = []
+
+    def rec(k: int, h: int) -> Iterator[str]:
+        if h > n - k:
+            return
+        if k == n:
+            yield "".join(acc)
+            return
+        for s in STEPS_MOTZKIN:
+            if s == "S" and h == 0:
+                continue
+            acc.append(s)
+            yield from rec(k + 1, h + (s == "N") - (s == "S"))
+            acc.pop()
+
+    return rec(0, 0)
 
 
 def motzkin_number(n: int) -> int:
@@ -106,32 +122,6 @@ def motzkin_number(n: int) -> int:
     for k in range(2, n + 1):
         before, count = count, ((2 * k + 1) * count + 3 * (k - 1) * before) // (k + 2)
     return count
-
-
-def two_motzkin_paths(n: int) -> Iterator[str]:
-    """All 2-Motzkin paths of length n (alphabet N S E D)."""
-    return _paths(n, STEPS_2MOTZKIN)
-
-
-def _paths(n: int, alphabet: str) -> Iterator[str]:
-    if n < 0:
-        raise ValueError("n must be >= 0")
-    acc: list[str] = []
-
-    def rec(k: int, h: int) -> Iterator[str]:
-        if h > n - k:
-            return
-        if k == n:
-            yield "".join(acc)
-            return
-        for s in alphabet:
-            if s == "S" and h == 0:
-                continue
-            acc.append(s)
-            yield from rec(k + 1, h + (s == "N") - (s == "S"))
-            acc.pop()
-
-    return rec(0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -164,64 +154,17 @@ class LaguerreHistory:
         return json.dumps({"steps": self.steps, "labels": list(self.labels)})
 
 
-def laguerre_histories(n: int) -> Iterator[LaguerreHistory]:
-    """All restricted Laguerre histories of length n; there are n! of them."""
-    for steps in two_motzkin_paths(n):
-        ranges = []
-        for s, h in zip(steps, heights(steps)):
-            cap = h if s in "NE" else h - 1
-            ranges.append(range(cap + 1))
-        for labels in itertools.product(*ranges):
-            yield LaguerreHistory(steps, labels)
-
-
 # ---------------------------------------------------------------------------
 # the permutation encoding
 # ---------------------------------------------------------------------------
 
-def cyclic_classify(p: Sequence[int], i: int) -> str:
-    """
-    Classify index i by the trichotomy of p^{-1}(i), i, p(i):
-    'CPk' (cyclic peak), 'CVal' (valley), 'Cda' (double ascent),
-    'Cdd' (double descent) or 'Fix'.
-
-    >>> [cyclic_classify((4, 3, 2, 1), i) for i in (1, 2, 3, 4)]
-    ['CVal', 'CVal', 'CPk', 'CPk']
-    """
-    p = validate_permutation(p)
-    if not 1 <= i <= len(p):
-        raise ValueError(f"index {i} out of range for n={len(p)}")
-    fwd = p[i - 1]
-    if fwd == i:
-        return "Fix"
-    back = inverse(p)[i - 1]
-    if back < i and fwd < i:
-        return "CPk"
-    if back > i and fwd > i:
-        return "CVal"
-    if back < i and fwd > i:
-        return "Cda"
-    return "Cdd"
-
-
-def nest_at(p: Sequence[int], i: int) -> int:
-    """
-    Number of arcs of the cycle diagram strictly enclosing the arc at i:
-    indices j with j < i < p(i) < p(j) or p(j) < p(i) <= i < j.
-
-    >>> nest_at((4, 3, 2, 1), 2)
-    1
-    """
-    pi = p[i - 1]
-    c = 0
-    for j, pj in enumerate(p, start=1):
-        if (j < i < pi < pj) or (pj < pi <= i < j):
-            c += 1
-    return c
-
-
 def nest(p: Sequence[int]) -> int:
-    """Total nesting: the sum of nest_at over all positions, in one pass."""
+    """
+    Total nesting: the number of pairs of positions (i, j) with
+    j < i < p(i) < p(j) or p(j) < p(i) <= i < j, where the arc of the cycle
+    diagram at j strictly encloses the arc at i.  The count at i is the
+    history label at i, so one pass gives the sum.
+    """
     return sum(_history(validate_permutation(p)).labels)
 
 
@@ -241,9 +184,9 @@ def fz_history(p: Sequence[int]) -> LaguerreHistory:
 def _history(p: Window) -> LaguerreHistory:
     # One pass with a bitmask of the values placed so far.  Value i sits
     # left of position i (p^{-1}(i) < i) when its bit is set, and `left`
-    # counts the larger values to the left of p_i.  By the definition of
-    # nest_at, the label at an excedance is `left`, and elsewhere it is the
-    # count of smaller values to the right, (p_i - 1) - (i - 1 - left).
+    # counts the larger values to the left of p_i.  By the nesting condition
+    # (see nest), the label at an excedance is `left`, and elsewhere it is
+    # the count of smaller values to the right, (p_i - 1) - (i - 1 - left).
     seen = 0
     steps = []
     labels = []
@@ -336,35 +279,3 @@ def path_weight(steps: str) -> int:
     for s, h in zip(steps, heights(steps)):
         w *= h + 1 if s == "N" else h if s == "S" else 2 * h + 1
     return w
-
-
-# ---------------------------------------------------------------------------
-# even subsets <-> paths of height at most one
-# ---------------------------------------------------------------------------
-
-def even_subset_to_path(subset: Sequence[int], n: int) -> str:
-    """
-    Bijection from even-cardinality subsets of 1..n onto Motzkin paths of
-    length n with maximum height <= 1: the odd-ranked elements become N
-    steps, the even-ranked ones S steps, everything else E.
-
-    >>> even_subset_to_path((1, 3), 3)
-    'NES'
-    """
-    elems = sorted(subset)
-    if len(elems) % 2 != 0:
-        raise ValueError("subset must have even cardinality")
-    if len(set(elems)) != len(elems) or elems and not (1 <= elems[0] and elems[-1] <= n):
-        raise ValueError(f"not a subset of 1..{n}")
-    steps = ["E"] * n
-    for k, s in enumerate(elems):
-        steps[s - 1] = "N" if k % 2 == 0 else "S"
-    return "".join(steps)
-
-
-def path_to_even_subset(steps: str) -> tuple[int, ...]:
-    """Inverse of :func:`even_subset_to_path`; requires max height <= 1."""
-    _require_path(steps, STEPS_MOTZKIN)
-    if max_height(steps) > 1:
-        raise ValueError("only paths of height <= 1 correspond to subsets")
-    return tuple(i + 1 for i, s in enumerate(steps) if s in "NS")

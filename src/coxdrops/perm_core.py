@@ -20,7 +20,6 @@ import itertools
 import math
 import operator
 import os
-import sys
 from collections import Counter
 from typing import Callable, Hashable, Iterator, Sequence
 
@@ -95,28 +94,6 @@ def is_unsigned(window: Sequence[int]) -> bool:
     return all(v > 0 for v in window)
 
 
-def in_type_d(window: Sequence[int]) -> bool:
-    """D_n membership: evenly many negative entries."""
-    return sum(1 for v in window if v < 0) % 2 == 0
-
-
-def identity(n: int) -> Window:
-    return tuple(range(1, n + 1))
-
-
-def inverse(p: Sequence[int]) -> Window:
-    """
-    Inverse of an unsigned permutation.
-
-    >>> inverse((2, 3, 1))
-    (3, 1, 2)
-    """
-    out = [0] * len(p)
-    for i, v in enumerate(p):
-        out[v - 1] = i + 1
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # statistics on S_n
 # ---------------------------------------------------------------------------
@@ -124,11 +101,6 @@ def inverse(p: Sequence[int]) -> Window:
 def inv(p: Sequence[int]) -> int:
     """Number of pairs i < j with p_i > p_j."""
     return sum(itertools.starmap(operator.gt, itertools.combinations(p, 2)))
-
-
-def desc_set(p: Sequence[int]) -> tuple[int, ...]:
-    """1-indexed positions i with p_i > p_{i+1}."""
-    return tuple(i + 1 for i in range(len(p) - 1) if p[i] > p[i + 1])
 
 
 def des(p: Sequence[int]) -> int:
@@ -139,11 +111,6 @@ def drops(p: Sequence[int]) -> int:
     """Sum of descent gaps p_i - p_{i+1} over the descent set."""
     # the positive gaps are half of |gaps| plus gaps, which telescope
     return (sum(map(abs, map(operator.sub, p, p[1:]))) + p[0] - p[-1]) >> 1 if p else 0
-
-
-def exc_set(p: Sequence[int]) -> tuple[int, ...]:
-    """1-indexed positions i with p_i > i."""
-    return tuple(i + 1 for i, v in enumerate(p) if v > i + 1)
 
 
 def exc(p: Sequence[int]) -> int:
@@ -185,20 +152,6 @@ def _scan(w: Sequence[int]) -> tuple[int, int, int, int, int, int]:
             gaps += prev - v
         prev = v
     return inversions, gaps, disp >> 1, below, above, falls
-
-
-def reverse_complement(p: Sequence[int]) -> Window:
-    """
-    The window r with r_i = n+1 - p_{n+1-i}.
-
-    An involution on S_n; it carries (iexc, depth, drops) of p to
-    (exc, depth, drops) of the image and preserves the parity of inv.
-
-    >>> reverse_complement((4, 1, 5, 2, 3))
-    (3, 4, 1, 5, 2)
-    """
-    n = len(p)
-    return tuple(n + 1 - p[n - i] for i in range(1, n + 1))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +239,7 @@ def zdrops(s: Sequence[int]) -> int:
 
 
 # ---------------------------------------------------------------------------
-# exhaustive enumeration with rank/unrank support
+# exhaustive enumeration by rank
 # ---------------------------------------------------------------------------
 #
 # Every group is enumerated in lexicographic window order (standard integer
@@ -346,38 +299,6 @@ def _place(kind: str, n: int, k: int) -> int:
     if kind == "B":
         return (1 << m) * math.factorial(m)
     return max(1, 1 << (m - 1)) * math.factorial(m) if m >= 1 else 1
-
-
-def _free_positions(kind: str, n: int) -> int:
-    # trailing positions are forced: the last two in A_n, the last one in D_n
-    if kind == "A":
-        return max(0, n - 2)
-    if kind == "D":
-        return n - 1
-    return n
-
-
-def rank(kind: str, window: Sequence[int]) -> int:
-    """Lexicographic rank of the window within the group; inverse of unrank."""
-    n = len(window)
-    check_group(kind, n)
-    signed = kind in ("B", "D")
-    try:
-        window = validate_signed(window) if signed else validate_permutation(window)
-        if kind == "A" and inv(window) % 2:
-            raise ValueError("odd permutation")
-        if kind == "D" and not in_type_d(window):
-            raise ValueError("oddly many negative entries")
-    except ValueError as exc:
-        raise ValueError(f"{format_window(window)} is not in {kind}_{n}: {exc}") from None
-    rem = list(range(1, n + 1))
-    r = 0
-    for k in range(_free_positions(kind, n)):
-        v = window[k]
-        d = _choices(rem, signed).index(v)
-        r += d * _place(kind, n, k)
-        rem.remove(abs(v))
-    return r
 
 
 def unrank(kind: str, n: int, r: int) -> Window:
@@ -606,13 +527,12 @@ def _count_blocks(kind: str, n: int, hook: Callable[[Window], Hashable],
         cross = sum(v > r for v in used for r in rem) if kind == "A" else 0
         prefixes = itertools.compress(itertools.permutations(
             _choices(used, signed), n - m), outer[(parity + cross) & 1])
-        rows, diffs, counts = _delta_table(hook, next(prefixes), itertools.compress(
+        rows = _delta_table(hook, next(prefixes), itertools.compress(
             itertools.permutations(_choices(list(rem), signed), m), inner[parity]), packed)
         for prefix in prefixes:
-            shifts = zip(diffs, counts)
-            for ref, width in rows:
+            for ref, shifts in rows:
                 k0 = _pack(hook(prefix + ref))
-                for d, c in itertools.islice(shifts, width):
+                for d, c in shifts:
                     packed[k0 + d] += c
     counter: Counter = Counter()
     for k, c in packed.items():
@@ -621,12 +541,11 @@ def _count_blocks(kind: str, n: int, hook: Callable[[Window], Hashable],
 
 
 def _delta_table(hook, prefix: Window, block, packed: Counter
-                 ) -> tuple[list[tuple[Window, int]], memoryview, memoryview]:
+                 ) -> list[tuple[Window, list[tuple[int, int]]]]:
     # counts the block's packed keys into `packed`, and returns one row per
-    # first suffix value u: a reference suffix starting with u and the number
-    # of distinct packed key differences of the suffixes starting with u (a
-    # parity flip adds one to the parity field); the rows' differences, then
-    # their counts, follow each other in two int64 sequences
+    # first suffix value u: a reference suffix starting with u, and the
+    # distinct packed key differences from it of the suffixes starting with
+    # u (a parity flip adds one to the parity field), each with its count
     firsts: dict[int, tuple] = {}
     for suffix in block:
         key = _pack(hook(prefix + suffix))
@@ -635,14 +554,4 @@ def _delta_table(hook, prefix: Window, block, packed: Counter
             firsts[suffix[0]] = (suffix, key, Counter())
         ref, base, diffs = firsts[suffix[0]]
         diffs[(key & _LOW) - (base & _LOW) + ((key ^ base) & _PARITY)] += 1
-    tallies = [diffs for _, _, diffs in firsts.values()]
-    return ([(ref, len(diffs)) for ref, _, diffs in firsts.values()],
-            _int64s(itertools.chain(*tallies)),
-            _int64s(itertools.chain(*(t.values() for t in tallies))))
-
-
-def _int64s(values) -> memoryview:
-    # 8 bytes an entry, without the array extension module, whose import
-    # alone keeps about 260 KiB more of every process resident
-    return memoryview(b"".join(
-        v.to_bytes(8, sys.byteorder, signed=True) for v in values)).cast("q")
+    return [(ref, list(diffs.items())) for ref, _, diffs in firsts.values()]

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-import os
 import time
 from collections import Counter
 from dataclasses import dataclass
@@ -371,7 +370,8 @@ CLAIMS: dict[str, tuple[ClaimDef, ...]] = {
     "thm1.3": (ClaimDef("thm1.3", "S", tuple(range(1, 9)), _run_thm13,
                "signed (exc, depth, drops) enumerator factors as (1-tpq)^(n-1)"),),
     "cor1.4": (ClaimDef("cor1.4", "S", tuple(range(1, 9)), _run_cor14,
-               "signed univariate specializations: drops, excedance, depth"),),
+               "signed univariate specializations: drops, excedance, depth "
+               "(drops alone for n >= 9)"),),
     "thm-typeB": (ClaimDef("thm-typeB", "B", tuple(range(1, 7)), _run_typeb,
                   "signed type-B drops enumerator equals (1-q)^n"),),
     "thm-typeD": (ClaimDef("thm-typeD", "D", tuple(range(2, 7)), _run_typed,
@@ -430,13 +430,3 @@ def run_claim(name: str, ns: tuple[int, ...] | None = None, threads: int = 1,
             claim=name, group=part.group, n=n,
             status="fail" if witness else "pass", witness=witness,
             elapsed_ms=elapsed, count=group_order(part.group, n))
-
-
-def run_claims(names: list[str] | None = None, ns: tuple[int, ...] | None = None,
-               threads: int | None = None,
-               max_n: int | None = None) -> Iterator[VerificationReport]:
-    """Run several claims (all of them when names is empty) in claim order."""
-    if threads is None:
-        threads = os.cpu_count() or 1
-    for name in (names or list(CLAIMS)):
-        yield from run_claim(name, ns, threads, max_n)

@@ -17,7 +17,7 @@ from coxdrops.bruhat import bruhat_leq, build_matching, validate_matching
 from coxdrops.genpoly import (MultiPoly, dep_inv_poly, drops_moments,
                               jfraction_convergent)
 from coxdrops.verify import run_claim
-from word_oracles import subword_leq
+from oracles import subword_leq
 
 THREADS = os.cpu_count() or 1
 

@@ -8,7 +8,7 @@ from coxdrops.bruhat import (MatchingEdge, bruhat_leq, build_matching,
                              validate_matching)
 from coxdrops.involutions import involution_a, involution_b
 from coxdrops.reduced_words import canonical_word
-from word_oracles import subword_leq
+from oracles import subword_leq
 
 
 # ---------------------------------------------------------------------------
@@ -55,7 +55,7 @@ def test_order_axioms_s4(groups):
     s4 = groups["S"](4)
     for u in s4:
         assert bruhat_leq(u, u)
-        assert bruhat_leq(pc.identity(4), u)
+        assert bruhat_leq((1, 2, 3, 4), u)
     for u in s4:
         for v in s4:
             if bruhat_leq(u, v) and bruhat_leq(v, u):
@@ -80,6 +80,31 @@ def test_matching_is_perfect_and_valid(kind, ns):
         report = validate_matching(edges, kind, n)
         assert report.ok, report.violations
         assert report.n_edges * 2 == pc.group_order("S" if kind == "S" else "B", n)
+
+
+def test_matching_edge_order_is_pinned():
+    # the order `match --format json` prints: involution pairs where the
+    # stream first reaches them, then the fixed-point pairs
+    assert [(e.lower, e.upper) for e in build_matching("S", 3)] == [
+        ((2, 3, 1), (3, 2, 1)), ((1, 2, 3), (2, 1, 3)), ((1, 3, 2), (3, 1, 2))]
+    assert [(e.lower, e.upper) for e in build_matching("B", 2)] == [
+        ((-2, -1), (-1, -2)), ((2, -1), (1, -2)), ((1, 2), (-1, 2)),
+        ((2, 1), (-2, 1))]
+
+
+@pytest.mark.parametrize("kind, ns", [("S", range(2, 8)), ("B", range(2, 6))])
+def test_involution_edges_come_in_stream_order(kind, ns):
+    invol = involution_a if kind == "S" else involution_b
+    for n in ns:
+        want, seen = [], set()
+        for w in pc.iter_group(kind, n):
+            y = invol(w).output
+            if y != w and w not in seen:
+                seen.update((w, y))
+                want.append({w, y})
+        got = [{e.lower, e.upper} for e in build_matching(kind, n)
+               if e.kind == "involution"]
+        assert got == want
 
 
 def test_matching_edge_kinds(groups):

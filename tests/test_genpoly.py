@@ -8,13 +8,13 @@ from hypothesis import strategies as st
 
 from coxdrops import perm_core as pc
 from coxdrops.genpoly import (MultiPoly, TruncatedSeries, _step_weight,
-                              dep_inv_poly, descent_blocks, drops_mad_poly,
-                              drops_moments, drops_poly, jfraction_convergent,
-                              mad, per_path_enumerator, poly_from_counter,
-                              q_integer, right_embracings, signed_drops,
-                              signed_trivariate)
+                              dep_inv_poly, drops_mad_poly, drops_moments,
+                              drops_poly, jfraction_convergent, mad,
+                              per_path_enumerator, poly_from_counter,
+                              q_integer, signed_drops, signed_trivariate)
 from coxdrops.laguerre import fz_history, motzkin_paths
 from coxdrops.verify import run_claim
+from oracles import descent_blocks, right_embracings
 
 
 def one_minus(var, power):

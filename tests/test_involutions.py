@@ -7,11 +7,11 @@ from hypothesis import strategies as st
 
 from coxdrops import perm_core as pc
 from coxdrops.involutions import (InvolutionReport, fixed_points,
-                                  involution_a, involution_b, pair_map_bd,
-                                  pair_map_d)
+                                  involution_a, involution_b)
 from coxdrops.reduced_words import (canonical_word_a, canonical_word_b,
                                     evaluate_word, ird_and_ascents)
-from word_oracles import near_maximal_u, near_maximal_v, stage_factor, top_stage
+from oracles import (in_type_d, near_maximal_u, near_maximal_v, stage_factor,
+                     top_stage)
 
 
 # ---------------------------------------------------------------------------
@@ -273,89 +273,27 @@ def test_fixed_points_at_n_zero_and_below():
 
 
 # ---------------------------------------------------------------------------
-# type-D pairing maps
+# the type-D length and zdrops
 # ---------------------------------------------------------------------------
 
-def test_pair_map_examples():
-    assert pair_map_bd((1, 2)) == (2, 1)
-    assert pair_map_bd((-1, 2)) == (-2, 1)
-    assert pair_map_bd((1, -2)) == (2, -1)
-    assert pair_map_d((1, 2)) == (2, 1)
-    assert pair_map_d((-1, -2)) == (-2, -1)
-    assert pair_map_d((1, 2, 3)) == (1, 3, 2)
-
-
-def test_pair_map_shift_examples():
-    # worked shifts: case with both letters positive gains one unit of both
-    # statistics when nothing follows the pair; the mixed-sign case loses a
-    # length unit and keeps zdrops
+def test_inv_d_and_zdrops_shift_examples():
+    # swapping the magnitudes 1 and 2: with both letters positive it gains
+    # one unit of both statistics when nothing follows the pair; the
+    # mixed-sign case loses a length unit and keeps zdrops
     assert pc.inv_d((2, 1)) == pc.inv_d((1, 2)) + 1
     assert pc.zdrops((2, 1)) == pc.zdrops((1, 2)) + 1
     assert pc.inv_d((2, -1)) == pc.inv_d((1, -2)) - 1
     assert pc.zdrops((2, -1)) == pc.zdrops((1, -2))
 
 
-def test_pair_maps_flip_the_parity_but_shift_the_drops():
-    # at n = 5: the swap flips the type-D length parity of every window it
-    # is defined on, yet moves zdrops (on B_5) and drops_d (on D_5) unevenly,
-    # so neither map cancels its signed sum pair by pair
-    n = 5
-    zdrops_shifts, drops_d_shifts = Counter(), Counter()
-    for s in _sides(pc.iter_group("B", n), n)[0]:
-        y = pair_map_bd(s)
-        assert (pc.inv_d(y) - pc.inv_d(s)) % 2 == 1, s
-        zdrops_shifts[pc.zdrops(y) - pc.zdrops(s)] += 1
-        if pc.in_type_d(s):
-            y = pair_map_d(s)
-            assert (pc.inv_d(y) - pc.inv_d(s)) % 2 == 1, s
-            drops_d_shifts[pc.drops_d(y) - pc.drops_d(s)] += 1
-    assert zdrops_shifts == {-1: 336, 0: 1248, 1: 336}
-    assert drops_d_shifts == {-1: 48, 0: 600, 1: 288, 2: 24}
-
-
-def test_pair_map_domain_errors():
-    with pytest.raises(ValueError):
-        pair_map_bd((2, 1))                    # largest letter first
-    with pytest.raises(ValueError):
-        pair_map_d((-1, 2))                    # odd number of negatives
-
-
-def _sides(elems, n):
-    a1, a2 = [], []
-    for s in elems:
-        ia = next(i for i, v in enumerate(s) if abs(v) == n - 1)
-        ib = next(i for i, v in enumerate(s) if abs(v) == n)
-        (a1 if ia < ib else a2).append(s)
-    return a1, a2
-
-
-def test_pair_maps_are_bijections(groups):
-    for n in (2, 3, 4, 5, 6):
-        outside = []
-        inside = []
-        for s in pc.iter_group("B", n):
-            (inside if pc.in_type_d(s) else outside).append(s)
-        for elems, fn in ((outside, pair_map_bd), (inside, pair_map_d)):
-            a1, a2 = _sides(elems, n)
-            images = [fn(s) for s in a1]
-            assert len(set(images)) == len(a1)
-            assert set(images) == set(a2)
-            for s, y in zip(a1, images):
-                # the length parity always flips: up when the later letter of
-                # the pair is positive, down when it is negative
-                diff = pc.inv_d(y) - pc.inv_d(s)
-                ib = next(i for i, v in enumerate(s) if abs(v) == n)
-                assert diff == (1 if s[ib] > 0 else -1)
-
-
 def test_zero_sums_small(groups):
-    # the sums these pairings help annihilate, checked directly
+    # the signed zdrops sums over B_n - D_n and over D_n vanish
     for n in (2, 3, 4):
         out_sum = Counter()
         in_sum = Counter()
         for s in groups["B"](n):
             term = -1 if pc.inv_d(s) % 2 else 1
-            (in_sum if pc.in_type_d(s) else out_sum)[pc.zdrops(s)] += term
+            (in_sum if in_type_d(s) else out_sum)[pc.zdrops(s)] += term
         assert not any(out_sum.values())
         assert not any(in_sum.values())
 

@@ -1,21 +1,16 @@
-import itertools
 import json
 import math
 from collections import Counter
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from coxdrops import perm_core as pc
 from coxdrops.involutions import fixed_points, involution_a
-from coxdrops.laguerre import (LaguerreHistory, area, cyclic_classify,
-                               even_subset_to_path, from_history,
-                               fz_history, heights,
-                               laguerre_histories, max_height, motzkin_paths,
-                               motzkin_shape, nest, nest_at,
-                               path_to_even_subset, path_weight,
-                               two_motzkin_paths)
+from coxdrops.laguerre import (LaguerreHistory, area, from_history,
+                               fz_history, heights, max_height, motzkin_paths,
+                               motzkin_shape, nest, path_weight)
+from oracles import (cyclic_classify, laguerre_histories, nest_at,
+                     two_motzkin_paths)
 
 
 # ---------------------------------------------------------------------------
@@ -183,10 +178,9 @@ def test_motzkin_counts():
     assert list(motzkin_paths(0)) == list(two_motzkin_paths(0)) == [""]
 
 
-@pytest.mark.parametrize("paths", [motzkin_paths, two_motzkin_paths])
-def test_path_enumerators_refuse_negative_n(paths):
+def test_motzkin_paths_refuse_negative_n():
     with pytest.raises(ValueError, match="^n must be >= 0$"):
-        paths(-1)
+        motzkin_paths(-1)
 
 
 def test_motzkin_shape_examples():
@@ -232,41 +226,3 @@ def test_fixed_points_cover_low_paths(groups):
         assert shapes == low
         assert len(shapes) == 2 ** (n - 1)
 
-
-# ---------------------------------------------------------------------------
-# even subsets <-> height <= 1 paths
-# ---------------------------------------------------------------------------
-
-def test_even_subset_examples():
-    assert even_subset_to_path((), 3) == "EEE"
-    assert even_subset_to_path((1, 3), 3) == "NES"
-    with pytest.raises(ValueError):
-        even_subset_to_path((1,), 3)
-    with pytest.raises(ValueError):
-        even_subset_to_path((1, 7), 3)
-
-
-def test_even_subsets_biject_onto_low_paths():
-    for n in range(1, 6):
-        images = set()
-        for r in range(0, n + 1, 2):
-            for subset in itertools.combinations(range(1, n + 1), r):
-                steps = even_subset_to_path(subset, n)
-                assert max_height(steps) <= 1
-                assert path_to_even_subset(steps) == subset
-                images.add(steps)
-        assert images == {p for p in motzkin_paths(n) if max_height(p) <= 1}
-        assert len(images) == 2 ** (n - 1)
-
-
-def test_path_to_even_subset_rejects_tall_paths():
-    with pytest.raises(ValueError):
-        path_to_even_subset("NNSS")
-
-
-@given(st.integers(1, 8), st.data())
-def test_subset_path_roundtrip(n, data):
-    size = data.draw(st.sampled_from(range(0, n + 1, 2)))
-    subset = tuple(sorted(data.draw(
-        st.sets(st.integers(1, n), min_size=size, max_size=size))))
-    assert path_to_even_subset(even_subset_to_path(subset, n)) == subset

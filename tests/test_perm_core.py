@@ -7,6 +7,8 @@ from hypothesis import strategies as st
 
 from coxdrops import perm_core as pc
 from coxdrops.reduced_words import canonical_word_a
+from oracles import (desc_set, exc_set, in_type_d, inverse, rank,
+                     reverse_complement)
 
 
 # ---------------------------------------------------------------------------
@@ -42,21 +44,21 @@ def test_depth(w, want):
 
 def test_exc_des_iexc():
     assert (pc.exc((1, 2, 3)), pc.des((1, 2, 3)), pc.iexc((1, 2, 3))) == (0, 0, 0)
-    assert pc.exc_set((4, 1, 5, 2, 3)) == (1, 3)
-    assert pc.desc_set((4, 1, 5, 2, 3)) == (1, 3)
+    assert exc_set((4, 1, 5, 2, 3)) == (1, 3)
+    assert desc_set((4, 1, 5, 2, 3)) == (1, 3)
     assert pc.exc((2, 3, 1)) == 2
     assert pc.iexc((2, 3, 1)) == 1
-    assert pc.inverse((2, 3, 1)) == (3, 1, 2)
+    assert inverse((2, 3, 1)) == (3, 1, 2)
 
 
 # the definitions the counting forms of exc, des, drops, depth and iexc
 # must agree with
 def _oracle_stats(w):
     n = len(w)
-    return (len(pc.exc_set(w)), len(pc.desc_set(w)),
+    return (len(exc_set(w)), len(desc_set(w)),
             sum(w[i] - w[i + 1] for i in range(n - 1) if w[i] > w[i + 1]),
             sum(w[i] - (i + 1) for i in range(n) if w[i] > i + 1),
-            len(pc.exc_set(pc.inverse(w))))
+            len(exc_set(inverse(w))))
 
 
 def _stats(w):
@@ -81,7 +83,7 @@ def test_statistics_equal_their_definitions_up_to_n40(lst):
     ((4, 1, 5, 2, 3), (3, 4, 1, 5, 2)),
 ])
 def test_reverse_complement(w, want):
-    assert pc.reverse_complement(w) == want
+    assert reverse_complement(w) == want
 
 
 def test_scalar_stats_example():
@@ -289,8 +291,8 @@ def test_spearman_is_twice_depth(lst):
 @given(st.permutations(list(range(1, 9))))
 def test_rc_involution_and_transport(lst):
     w = tuple(lst)
-    rc = pc.reverse_complement(w)
-    assert pc.reverse_complement(rc) == w
+    rc = reverse_complement(w)
+    assert reverse_complement(rc) == w
     assert pc.inv(w) % 2 == pc.inv(rc) % 2
     assert (pc.iexc(w), pc.depth(w), pc.drops(w)) == \
         (pc.exc(rc), pc.depth(rc), pc.drops(rc))
@@ -298,8 +300,8 @@ def test_rc_involution_and_transport(lst):
 
 def test_rc_transport_exhaustive_s8(groups):
     for w in groups["S"](8):
-        rc = pc.reverse_complement(w)
-        assert pc.reverse_complement(rc) == w
+        rc = reverse_complement(w)
+        assert reverse_complement(rc) == w
         assert pc.inv(w) % 2 == pc.inv(rc) % 2
         assert (pc.iexc(w), pc.depth(w), pc.drops(w)) == \
             (pc.exc(rc), pc.depth(rc), pc.drops(rc))
@@ -351,7 +353,7 @@ def test_a_group_is_even_permutations(groups):
 def test_b_enumeration_matches_bruteforce(groups):
     for n in (1, 2, 3):
         assert set(pc.iter_group("B", n)) == set(groups["B"](n))
-        want = {s for s in groups["B"](n) if pc.in_type_d(s)}
+        want = {s for s in groups["B"](n) if in_type_d(s)}
         if n >= 2:
             assert set(pc.iter_group("D", n)) == want
 
@@ -359,20 +361,8 @@ def test_b_enumeration_matches_bruteforce(groups):
 def test_rank_unrank_roundtrip():
     for kind, n in [("S", 5), ("A", 5), ("B", 3), ("D", 4)]:
         for r, w in enumerate(pc.iter_group(kind, n)):
-            assert pc.rank(kind, w) == r
+            assert rank(kind, w) == r
             assert pc.unrank(kind, n, r) == w
-
-
-@pytest.mark.parametrize("kind, window, reason", [
-    ("A", (2, 1, 3), "A_3: odd permutation"),
-    ("D", (-1, 2, 3), "D_3: oddly many negative entries"),
-    ("A", (1, 1, 2), "A_3: position 2: absolute value 1 repeats"),
-    ("S", (-1, 2), "S_2: position 1: negative entry"),
-    ("B", (1, 3), "B_2: position 2: entry 3 out of range"),
-])
-def test_rank_rejects_windows_outside_the_group(kind, window, reason):
-    with pytest.raises(ValueError, match=reason):
-        pc.rank(kind, window)
 
 
 @given(st.sampled_from(["S", "A", "B", "D"]), st.integers(0, 10 ** 6))
@@ -380,7 +370,7 @@ def test_rank_rejects_windows_outside_the_group(kind, window, reason):
 def test_unrank_rank_random(kind, seed):
     n = 6 if kind != "B" else 5
     r = seed % pc.group_order(kind, n)
-    assert pc.rank(kind, pc.unrank(kind, n, r)) == r
+    assert rank(kind, pc.unrank(kind, n, r)) == r
 
 
 def test_range_partition_reassembles_stream():
@@ -461,7 +451,7 @@ def test_rank_unrank_roundtrip_large_n(case):
     kind, n, r = case
     w = pc.unrank(kind, n, r)
     assert sorted(map(abs, w)) == list(range(1, n + 1))
-    assert pc.rank(kind, w) == r
+    assert rank(kind, w) == r
     if r + 1 < pc.group_order(kind, n):
         assert w < pc.unrank(kind, n, r + 1)
 
@@ -481,7 +471,7 @@ def test_enumeration_errors():
 def test_empty_groups_hold_the_empty_window(kind):
     assert pc.group_order(kind, 0) == 1
     assert list(pc.iter_group(kind, 0)) == [()]
-    assert pc.rank(kind, ()) == 0 and pc.unrank(kind, 0, 0) == ()
+    assert rank(kind, ()) == 0 and pc.unrank(kind, 0, 0) == ()
     assert pc.sweep(kind, 0, len) == {0: 1}
 
 

@@ -6,7 +6,7 @@ from coxdrops import perm_core as pc
 from coxdrops.reduced_words import (CanonicalWord, canonical_word_a,
                                     canonical_word_b, evaluate_word,
                                     ird_and_ascents, word_to_text)
-from word_oracles import (in_section_a, in_section_b, intermediates,
+from oracles import (in_section_a, in_section_b, intermediates,
                           near_maximal_u, near_maximal_v, stage_factor)
 
 

@@ -16,7 +16,7 @@ from coxdrops.involutions import (_swap_magnitudes, _swap_positions, _toggle_a,
 from coxdrops.laguerre import (LaguerreHistory, _decode, fz_history, heights,
                                motzkin_shape)
 from coxdrops.perm_core import format_window, iter_group, pool_size, sweep
-from coxdrops.verify import CLAIMS, plan, run_claim, run_claims
+from coxdrops.verify import CLAIMS, plan, run_claim
 
 
 def test_registry_contents():
@@ -155,12 +155,6 @@ def test_claims_below_their_first_size_run_nothing():
     assert list(run_claim("thm-typeD", ns=(0, 1))) == []
     (report,) = run_claim("cfrac", ns=(0,))
     assert report.ok and (report.group, report.n, report.count) == ("S", 0, 1)
-
-
-def test_run_claims_subset():
-    reports = list(run_claims(["thm1.3", "cor1.4"], ns=(3,), threads=1))
-    assert [r.claim for r in reports] == ["thm1.3", "cor1.4"]
-    assert all(r.ok for r in reports)
 
 
 # the claims whose hooks are block-additive, at sizes of many table contexts
