@@ -15,8 +15,9 @@ import bisect
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
-from .involutions import fixed_points, involution_a, involution_b
-from .perm_core import (Window, format_window, group_order, inv, inv_b,
+from .involutions import (_swap_magnitudes, _swap_positions, _toggle_a,
+                          _toggle_b, fixed_points)
+from .perm_core import (Window, _scan, _scan_b, format_window, group_order,
                         is_unsigned, iter_group)
 from .reduced_words import canonical_word
 
@@ -87,7 +88,7 @@ def _check_kind(kind: str) -> None:
 
 
 def _length(kind: str, w: Sequence[int]) -> int:
-    return inv(w) if kind == "S" else inv_b(w)
+    return _scan(w)[0] if kind == "S" else _scan_b(w)[0]
 
 
 def build_matching(kind: str, n: int) -> list[MatchingEdge]:
@@ -103,13 +104,14 @@ def build_matching(kind: str, n: int) -> list[MatchingEdge]:
     _check_kind(kind)
     if n < 2:
         raise ValueError("matching needs n >= 2")
-    invol = involution_a if kind == "S" else involution_b
+    toggle, swap = ((_toggle_a, _swap_positions) if kind == "S"
+                    else (_toggle_b, _swap_magnitudes))
     edges = []
     for w in iter_group(kind, n):
-        other = invol(w).output
+        hit = toggle(w)
         # each pair is kept once, at the element the stream reaches first:
         # the stream runs in tuple order, signed windows too
-        if w < other:
+        if hit is not None and w < (other := swap(w, hit[1], hit[2])):
             lower, upper = ((w, other) if _length(kind, w) < _length(kind, other)
                             else (other, w))
             edges.append(MatchingEdge(lower, upper, "involution"))

@@ -107,13 +107,22 @@ def _fz_key(w):
 
 # The involution hooks apply the swap found by _toggle_a/_toggle_b directly:
 # stream elements are valid by construction, so nothing is re-validated.
+#
+# Sign reversal and the kept statistics and shape belong to a 2-cycle
+# {w, y}: each is compared once, at its member first in rank order (tuple
+# order, signed windows too), and skipped at the later one once the pair is
+# shown mutual.  The earlier partner then fails any such comparison the later
+# one would, so the first witness, merged in share order, is unchanged.
 
 def _image(w, hit, swap):
     return w if hit is None else swap(w, hit[1], hit[2])
 
 
 def _shape_witness(w):
-    y = _image(w, _toggle_a(w), _swap_positions)
+    hit = _toggle_a(w)
+    y = _image(w, hit, _swap_positions)
+    if hit is None or y < w and _image(y, _toggle_a(y), _swap_positions) == w:
+        return None                            # fixed, or y compared them
     if _shape(w) != _shape(y):
         return f"{format_window(w)}: shape changes under the involution"
     return None
@@ -133,17 +142,17 @@ def _invol_fault_s(w, hit):
     y = _image(w, hit, _swap_positions)
     if _image(y, _toggle_a(y), _swap_positions) != w:
         return "map is not involutive"
-    sw, sy = pc._scan(w), pc._scan(y)
-    if (sw[0] - sy[0]) % 2 == 0:
-        return "sign not reversed"
-    if sw[1:4] != sy[1:4]:
-        return "(drops, depth, iexc) not preserved"
+    if w <= y:
+        sw, sy = pc._scan(w), pc._scan(y)
+        if (sw[0] - sy[0]) % 2 == 0:
+            return "sign not reversed"
+        if sw[1:4] != sy[1:4]:
+            return "(drops, depth, iexc) not preserved"
     d, ia, ib = hit
     a, b = w[ia], w[ib]
     if not (a >= d + 1 and b >= d + 2):
         return f"transposition ({a},{b}) violates bounds at stage {d}"
-    back = tuple(a if v == b else b if v == a else v for v in y)
-    if back != w:
+    if _swap_positions(y, ia, ib) != w:
         return f"transposition ({a},{b}) does not recover the input"
     return None
 
@@ -162,6 +171,8 @@ def _invol_fault_b(s, hit):
     y = _image(s, hit, _swap_magnitudes)
     if _image(y, _toggle_b(y), _swap_magnitudes) != s:
         return "map is not involutive"
+    if s > y:
+        return None                            # y compared the pair
     (ls, ds), (ly, dy) = pc._scan_b(s), pc._scan_b(y)
     if (ls - ly) % 2 == 0:
         return "sign not reversed"

@@ -6,7 +6,7 @@ from coxdrops import perm_core as pc
 from coxdrops.bruhat import (MatchingEdge, bruhat_leq, build_matching,
                              hasse_covers, matching_to_dot, matching_to_text,
                              validate_matching)
-from coxdrops.involutions import involution_a, involution_b
+from coxdrops.involutions import fixed_points, involution_a, involution_b
 from coxdrops.reduced_words import canonical_word
 from oracles import subword_leq
 
@@ -105,6 +105,29 @@ def test_involution_edges_come_in_stream_order(kind, ns):
         got = [{e.lower, e.upper} for e in build_matching(kind, n)
                if e.kind == "involution"]
         assert got == want
+
+
+def _matching_by_public_maps(kind, n, group):
+    # build_matching spelled with the public involution, which validates
+    # each window and builds a report, and the pairwise length
+    invol, length = ((involution_a, pc.inv) if kind == "S"
+                     else (involution_b, pc.inv_b))
+    edges = []
+    for w in sorted(group):
+        y = invol(w).output
+        if w < y:
+            lower, upper = (w, y) if length(w) < length(y) else (y, w)
+            edges.append(MatchingEdge(lower, upper, "involution"))
+    fixed = fixed_points(kind, n)
+    return edges + [MatchingEdge(lower, upper, "fixed_toggle")
+                    for lower, upper in zip(fixed, fixed)]
+
+
+@pytest.mark.parametrize("kind, ns", [("S", range(2, 8)), ("B", range(2, 6))])
+def test_matching_equals_the_public_map_construction(groups, kind, ns):
+    for n in ns:
+        assert build_matching(kind, n) == \
+            _matching_by_public_maps(kind, n, groups[kind](n)), (kind, n)
 
 
 def test_matching_edge_kinds(groups):

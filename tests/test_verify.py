@@ -175,6 +175,25 @@ def test_parallel_chunks_match_serial(monkeypatch):
         assert strip(parallel) == strip(serial[name]), name
 
 
+def test_pair_claims_match_serial_across_workers(monkeypatch):
+    # the pair hooks compare a 2-cycle at its earlier member, which a rank
+    # range may hold apart from its partner
+    import coxdrops.perm_core as pc
+    import coxdrops.verify as v
+    hooks = [("S", 7, v._invol_key_s), ("B", 5, v._invol_key_b),
+             ("S", 7, v._shape_witness)]
+    serial = [list(sweep(kind, n, hook).items()) for kind, n, hook in hooks]
+    reports = [list(run_claim(name, ns=(n,), threads=1))
+               for name, n in (("invol", 5), ("shape", 7))]
+    monkeypatch.setattr(pc.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(pc, "_PARALLEL_CUTOFF", 1)
+    strip = lambda rs: [dataclasses.replace(r, elapsed_ms=0) for r in rs]
+    for (kind, n, hook), want in zip(hooks, serial):
+        assert list(sweep(kind, n, hook, threads=2).items()) == want, (kind, n)
+    for (name, n), want in zip((("invol", 5), ("shape", 7)), reports):
+        assert strip(run_claim(name, ns=(n,), threads=2)) == strip(want), name
+
+
 def test_failing_report_carries_witness(monkeypatch):
     import coxdrops.verify as v
 
@@ -217,6 +236,28 @@ def _wrong_pair_b(s):
     return (hit[0], hit[1], len(s) - 1) if hit and hit[0] == len(s) else hit
 
 
+def _wrong_upper_a(p):
+    # _wrong_pair_a, but only at the later member of a true 2-cycle
+    hit = _toggle_a(p)
+    return _wrong_pair_a(p) if hit and _swap_positions(p, hit[1], hit[2]) < p else hit
+
+
+def _wrong_upper_b(s):
+    # only at the later member of a true 2-cycle, pairs the first magnitude
+    # with the last
+    hit = _toggle_b(s)
+    if (hit and _swap_magnitudes(s, hit[1], hit[2]) < s
+            and {hit[1], hit[2]} != {0, len(s) - 1}):
+        return hit[0], 0, len(s) - 1
+    return hit
+
+
+def _self_swap_a(p):
+    # reports a hit but swaps a position with itself, so the image is p
+    hit = _toggle_a(p)
+    return hit and (hit[0], hit[1], hit[1])
+
+
 def _first_touched(kind, n, broken):
     """The first element in rank order whose check meets the broken toggle,
     on the element or on its true image.  Every element before it is checked
@@ -230,11 +271,35 @@ def _first_touched(kind, n, broken):
             return w
 
 
+def _first_moved(n, broken):
+    # the first window whose shape the broken toggle's image changes
+    def image(w):
+        hit = broken(w)
+        return w if hit is None else _swap_positions(w, hit[1], hit[2])
+
+    return next((w for w in iter_group("S", n)
+                 if motzkin_shape(w) != motzkin_shape(image(w))), None)
+
+
+def _chunked(monkeypatch, threads):
+    # with two workers, force rank-range shares so that pairs straddle them
+    import coxdrops.perm_core as pc
+    if threads > 1:
+        monkeypatch.setattr(pc.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(pc, "_PARALLEL_CUTOFF", 1)
+
+
 @pytest.mark.parametrize("kind, n, name, broken, message", [
     ("S", 3, "_toggle_a", _wrong_pair_a, "2,3,1: map is not involutive"),
     ("S", 5, "_toggle_a", _wrong_pair_a, "1,2,4,5,3: map is not involutive"),
     ("B", 3, "_toggle_b", _wrong_pair_b, "-3,-1,-2: sign not reversed"),
     ("B", 4, "_toggle_b", _wrong_pair_b, "-4,-2,-1,-3: sign not reversed"),
+    ("S", 4, "_toggle_a", _wrong_upper_a, "1,3,4,2: map is not involutive"),
+    ("S", 5, "_toggle_a", _wrong_upper_a, "1,2,4,5,3: map is not involutive"),
+    ("B", 3, "_toggle_b", _wrong_upper_b, "-3,-2,-1: map is not involutive"),
+    ("B", 4, "_toggle_b", _wrong_upper_b, "-4,-3,-2,-1: map is not involutive"),
+    ("S", 4, "_toggle_a", _self_swap_a, "1,3,4,2: sign not reversed"),
+    ("S", 5, "_toggle_a", _self_swap_a, "1,2,4,5,3: sign not reversed"),
 ])
 def test_invol_reports_the_first_element_a_broken_toggle_fails(
         monkeypatch, kind, n, name, broken, message):
@@ -242,29 +307,108 @@ def test_invol_reports_the_first_element_a_broken_toggle_fails(
 
     first = format_window(_first_touched(kind, n, broken))
     monkeypatch.setattr(v, name, broken)
-    reports = {r.group: r for r in run_claim("invol", ns=(n,), threads=1)}
-    assert reports[kind].status == "fail"
-    assert reports[kind].witness == message
+    for threads in (1, 2):
+        _chunked(monkeypatch, threads)
+        reports = {r.group: r for r in run_claim("invol", ns=(n,), threads=threads)}
+        assert reports[kind].status == "fail"
+        assert reports[kind].witness == message, threads
+        # the other part of the claim keeps its true toggle and passes
+        assert reports["B" if kind == "S" else "S"].ok
     assert message.startswith(first + ":")
-    # the other part of the claim keeps its true toggle and passes
-    assert reports["B" if kind == "S" else "S"].ok
 
 
 @pytest.mark.parametrize("n, first", [(3, "2,3,1"), (5, "1,2,4,5,3")])
 def test_shape_reports_the_first_element_a_broken_toggle_moves(monkeypatch, n, first):
     import coxdrops.verify as v
 
-    def image(w):
-        hit = _wrong_pair_a(w)
-        return w if hit is None else _swap_positions(w, hit[1], hit[2])
-
-    moved = next(w for w in iter_group("S", n)
-                 if motzkin_shape(w) != motzkin_shape(image(w)))
-    assert format_window(moved) == first
+    assert format_window(_first_moved(n, _wrong_pair_a)) == first
     monkeypatch.setattr(v, "_toggle_a", _wrong_pair_a)
     (report,) = run_claim("shape", ns=(n,), threads=1)
     assert report.status == "fail"
     assert report.witness == f"{first}: shape changes under the involution"
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("n, broken, first", [
+    (4, _wrong_upper_a, "4,3,1,2"), (5, _wrong_upper_a, "1,5,4,2,3"),
+    (6, _wrong_upper_a, "1,2,6,5,3,4"), (5, _self_swap_a, None),
+])
+def test_shape_finds_a_toggle_broken_at_one_member_of_a_pair(
+        monkeypatch, threads, n, broken, first):
+    # a self-swap leaves every window in place, so no shape moves
+    import coxdrops.verify as v
+
+    moved = _first_moved(n, broken)
+    assert (moved and format_window(moved)) == first
+    _chunked(monkeypatch, threads)
+    monkeypatch.setattr(v, "_toggle_a", broken)
+    (report,) = run_claim("shape", ns=(n,), threads=threads)
+    assert report.witness == (first and f"{first}: shape changes under the involution")
+
+
+def _adjacent_a(p):
+    # pairs every window with its first two entries swapped: involutive and
+    # sign-reversing, but it moves the statistics and the shape
+    return 0, 0, 1
+
+
+def _adjacent_b(s):
+    # the same in type B: the first two magnitudes swap, signs kept
+    return 1, 0, 1
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_mutual_pair_is_reported_at_its_earlier_member(monkeypatch, threads):
+    import coxdrops.verify as v
+    _chunked(monkeypatch, threads)
+    monkeypatch.setattr(v, "_toggle_a", _adjacent_a)
+    monkeypatch.setattr(v, "_toggle_b", _adjacent_b)
+    reports = {r.group: r for r in run_claim("invol", ns=(5,), threads=threads)}
+    assert reports["S"].witness == "1,2,3,4,5: (drops, depth, iexc) not preserved"
+    assert reports["B"].witness == "-5,-3,-4,-2,-1: drops_b not preserved"
+    (report,) = run_claim("shape", ns=(5,), threads=threads)
+    assert report.witness == "1,2,3,4,5: shape changes under the involution"
+
+
+# ---------------------------------------------------------------------------
+# each 2-cycle's symmetric comparisons run once
+# ---------------------------------------------------------------------------
+
+def _count_calls(monkeypatch, module, name):
+    real, calls = getattr(module, name), []
+
+    def counted(w):
+        calls.append(w)
+        return real(w)
+
+    monkeypatch.setattr(module, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_invol_s_scans_each_element_once(monkeypatch, n):
+    import coxdrops.perm_core as pc
+    import coxdrops.verify as v
+    calls = _count_calls(monkeypatch, pc, "_scan")
+    sweep("S", n, v._invol_key_s)
+    assert len(calls) == math.factorial(n)
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_invol_b_scans_each_element_once(monkeypatch, n):
+    import coxdrops.perm_core as pc
+    import coxdrops.verify as v
+    calls = _count_calls(monkeypatch, pc, "_scan_b")
+    sweep("B", n, v._invol_key_b)
+    assert len(calls) == 2 ** n * math.factorial(n)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_shape_reads_each_non_fixed_shape_once(monkeypatch, n):
+    import coxdrops.verify as v
+    calls = _count_calls(monkeypatch, v, "_shape")
+    sweep("S", n, v._shape_witness)
+    assert len(calls) == math.factorial(n) - 2 ** (n - 1)
 
 
 # ---------------------------------------------------------------------------
