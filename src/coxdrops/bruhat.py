@@ -17,8 +17,8 @@ from typing import Iterable, Iterator, Sequence
 
 from .involutions import (_swap_magnitudes, _swap_positions, _toggle_a,
                           _toggle_b, fixed_points)
-from .perm_core import (Window, _scan, _scan_b, format_window, group_order,
-                        is_unsigned, iter_group)
+from .perm_core import (Window, _scan, _scan_b, format_window, group_order, is_unsigned,
+                        iter_group, validate_permutation, validate_signed)
 from .reduced_words import canonical_word
 
 
@@ -131,12 +131,13 @@ class MatchingReport:
 
 def validate_matching(edges: Iterable[MatchingEdge], kind: str, n: int) -> MatchingReport:
     """
-    Check the perfect-matching property, the unit length gap and Bruhat
-    comparability of every edge (each edge is then a cover, the order being
-    graded by length).  Violations name both endpoints.
+    Check that every endpoint lies in the group, the perfect-matching
+    property, and the unit length gap and Bruhat comparability of every edge
+    (each edge is then a cover, the order being graded by length).
     """
     _check_kind(kind)
     order = group_order(kind, n)
+    ident = list(range(1, n + 1))
     cover: dict[Window, int] = {}
     violations = []
     n_edges = 0
@@ -144,6 +145,16 @@ def validate_matching(edges: Iterable[MatchingEdge], kind: str, n: int) -> Match
         n_edges += 1
         cover[e.lower] = cover.get(e.lower, 0) + 1
         cover[e.upper] = cover.get(e.upper, 0) + 1
+        outside = [w for w in (e.lower, e.upper)
+                   if sorted(w if kind == "S" else map(abs, w)) != ident]
+        for w in outside:
+            try:
+                (validate_permutation if kind == "S" else validate_signed)(w)
+                raise ValueError(f"{len(w)} entries")  # a window of another n
+            except ValueError as exc:
+                violations.append(f"{format_window(w)}: not in {kind}_{n}: {exc}")
+        if outside:                            # lengths need group elements
+            continue
         gap = _length(kind, e.upper) - _length(kind, e.lower)
         if gap != 1:
             violations.append(

@@ -252,7 +252,12 @@ def drops_key_b(s: Sequence[int]) -> tuple[int, ...]:
 @pc.block_additive
 def drops_key_d(s: Sequence[int]) -> tuple[int, ...]:
     """(-1)^inv_d q^drops_d."""
-    return 0, 0, pc.drops_d(s), 0, pc.inv_d(s) % 2
+    if len(s) < 2:
+        raise ValueError("drops_d needs n >= 2 (the prefix entry is -s_2)")
+    # drops_b with the virtual entry -s_2 for 0; inv_d is inv_b - #negatives
+    length, drops = pc._scan_b(s)
+    return (0, 0, drops + max(-s[1] - s[0], 0) - max(-s[0], 0), 0,
+            (length + sum(map((0).__gt__, s))) % 2)
 
 
 @pc.block_additive

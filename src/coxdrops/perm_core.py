@@ -412,11 +412,11 @@ def sweep(kind: str, n: int, hook: Callable[[Window], Hashable],
     A hook marked with :func:`block_additive` is counted a block at a time,
     walking the group by context: the unused values of a block's last
     positions and, in A_n and D_n, the parity they must have.  The first
-    block of a context is counted element-wise while a table of key
-    differences is built from it; every other block with that context is
-    one hook call per first suffix value, shifted by the table.  Workers
-    split such a hook by context, one share each, so each table is built
-    once.  Any other hook is called on every element, and workers split it
+    block of a context builds its table of key differences; every other
+    block with that context is one hook call per first suffix value, and
+    each distinct key so found is shifted by the table once.  Workers split
+    such a hook by context, one share each, so each table is built once.
+    Any other hook is called on every element, and workers split it
     into rank ranges; only then is the order of the keys the rank order of
     the first element giving each, and so only such hooks return witnesses.
 
@@ -458,7 +458,8 @@ def _count(kind: str, n: int, hook: Callable[[Window], Hashable],
 def block_additive(hook: Callable[[Window], Hashable]) -> Callable[[Window], Hashable]:
     """
     Mark a sweep hook as additive, so that :func:`sweep` counts it a block
-    at a time.
+    at a time: the distinct keys that a context's blocks give at one first
+    suffix value are each shifted once by that value's key differences.
 
     The hook must return a signed monomial key (a, b, c, d, s): four
     exponents in [0, 2**15) and a parity bit.  Take two windows that share
@@ -507,11 +508,11 @@ def _count_blocks(kind: str, n: int, hook: Callable[[Window], Hashable],
     # The table path of sweep, over the contexts whose index is share mod
     # shares.  A context is m unused values and, in A_n and D_n, the parity
     # the suffix must have; every prefix over the other values that leaves
-    # that parity takes the same suffixes.  The first prefix's block is
-    # counted element-wise while its table is built (see _delta_table);
-    # every other one is one hook call on prefix + reference per first
-    # suffix value, that key shifted by each difference.  Groups too small
-    # for a suffix of two positions after a prefix of two go element-wise.
+    # that parity takes the same suffixes.  The first prefix's block builds
+    # one row per first suffix value (see _delta_table); every other prefix
+    # costs one hook call on prefix + reference per row, and each distinct
+    # key a row gathers is shifted by each of its differences once.  Groups
+    # too small for a suffix of two after a prefix of two go element-wise.
     m = min(_TABLE_SUFFIX[kind], n - 2)
     if m < 2:
         return _count(kind, n, hook, share, shares)
@@ -525,33 +526,30 @@ def _count_blocks(kind: str, n: int, hook: Callable[[Window], Hashable],
         # the A_n parity is the prefix's digit sum: inv(prefix) plus the
         # pairs of a used value above an unused one, whatever their order
         cross = sum(v > r for v in used for r in rem) if kind == "A" else 0
-        prefixes = itertools.compress(itertools.permutations(
+        first, *prefixes = itertools.compress(itertools.permutations(
             _choices(used, signed), n - m), outer[(parity + cross) & 1])
-        rows = _delta_table(hook, next(prefixes), itertools.compress(
-            itertools.permutations(_choices(list(rem), signed), m), inner[parity]), packed)
-        for prefix in prefixes:
-            for ref, shifts in rows:
-                k0 = _pack(hook(prefix + ref))
+        for ref, bases, shifts in _delta_table(hook, first, itertools.compress(
+                itertools.permutations(_choices(list(rem), signed), m), inner[parity])):
+            bases.update(map(_pack, map(hook, [p + ref for p in prefixes])))
+            for k0, c0 in bases.items():
                 for d, c in shifts:
-                    packed[k0 + d] += c
+                    packed[k0 + d] += c0 * c
     counter: Counter = Counter()
     for k, c in packed.items():
         counter[_unpack(k)] += c
     return counter
 
 
-def _delta_table(hook, prefix: Window, block, packed: Counter
-                 ) -> list[tuple[Window, list[tuple[int, int]]]]:
-    # counts the block's packed keys into `packed`, and returns one row per
-    # first suffix value u: a reference suffix starting with u, and the
+def _delta_table(hook, prefix: Window, block) -> list[tuple[Window, Counter, list]]:
+    # one row per first suffix value u: a reference suffix starting with u,
+    # a counter holding the packed key of prefix + reference, and the
     # distinct packed key differences from it of the suffixes starting with
-    # u (a parity flip adds one to the parity field), each with its count
+    # u (0 included; a parity flip adds one to the parity field), counted
     firsts: dict[int, tuple] = {}
     for suffix in block:
         key = _pack(hook(prefix + suffix))
-        packed[key] += 1
         if suffix[0] not in firsts:
-            firsts[suffix[0]] = (suffix, key, Counter())
-        ref, base, diffs = firsts[suffix[0]]
+            firsts[suffix[0]] = (suffix, key, Counter(), Counter({key: 1}))
+        ref, base, diffs, _ = firsts[suffix[0]]
         diffs[(key & _LOW) - (base & _LOW) + ((key ^ base) & _PARITY)] += 1
-    return [(ref, list(diffs.items())) for ref, _, diffs in firsts.values()]
+    return [(ref, bases, list(diffs.items())) for ref, _, diffs, bases in firsts.values()]

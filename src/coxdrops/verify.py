@@ -74,9 +74,10 @@ def _bivariate_key(w):
 
 @pc.block_additive
 def _zdrops_key(s):
-    # (-1)^inv_d t^#negatives q^zdrops over all of B_n; an even count of
-    # negatives puts s in D_n
-    return len(pc.negs(s)), 0, pc.zdrops(s), 0, pc.inv_d(s) % 2
+    # (-1)^inv_d t^#negatives q^zdrops over all of B_n, zdrops being drops_b
+    # less the virtual gap -s_1; an even count of negatives puts s in D_n
+    (length, drops), negatives = pc._scan_b(s), sum(map((0).__gt__, s))
+    return negatives, 0, (drops + min(s[0], 0)) if s else 0, 0, (length - negatives) % 2
 
 
 def _mad_key(w):

@@ -185,6 +185,26 @@ def test_validate_matching_reports_violations():
     assert any("1,2,3" in v or "3,2,1" in v for v in report.violations)
 
 
+@pytest.mark.parametrize("lower, upper, want", [
+    ((1, 2), (7, 1), ["7,1: not in S_2: position 1: entry 7 out of range for n=2"]),
+    ((1, 2), (-7, 1), ["-7,1: not in S_2: position 1: entry -7 out of range for n=2"]),
+    ((2, 1, 3), (1, 2), ["2,1,3: not in S_2: 3 entries"]),
+    ((1, 1), (-1, 2), ["1,1: not in S_2: position 2: absolute value 1 repeats position 1",
+                       "-1,2: not in S_2: position 1: negative entry -1 not allowed in S_n"]),
+])
+def test_validate_matching_names_endpoints_outside_the_group(lower, upper, want):
+    # one edge covers the two slots of S_2, so only the endpoints are at fault
+    assert validate_matching([MatchingEdge(lower, upper, "involution")], "S", 2).violations == want
+
+
+def test_validate_matching_names_signed_endpoints_outside_the_group():
+    edges = build_matching("B", 2)
+    edges[0] = MatchingEdge(edges[0].lower, (3, -1), "involution")
+    report = validate_matching(edges, "B", 2)
+    assert not report.ok
+    assert "3,-1: not in B_2: position 1: entry 3 out of range for n=2" in report.violations
+
+
 def test_matching_needs_two():
     with pytest.raises(ValueError):
         build_matching("S", 1)

@@ -13,6 +13,8 @@ import math
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from coxdrops import genpoly, verify
 from coxdrops import perm_core as pc
@@ -81,6 +83,27 @@ def test_marked_hooks_equal_their_definitions(name):
             assert outcome(hook, w) == outcome(definition, w), (kind, w)
 
 
+@st.composite
+def signed_windows(draw):
+    # a window of B_n, n = 2..14, with its first `lead` entries negated, so
+    # that every sign pattern of the entries the virtual terms read shows up
+    n = draw(st.integers(2, 14))
+    perm = draw(st.permutations(range(1, n + 1)))
+    negated = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    lead = draw(st.integers(0, 2))
+    return tuple(-v if neg or i < lead else v
+                 for i, (v, neg) in enumerate(zip(perm, negated)))
+
+
+@settings(max_examples=300)
+@given(signed_windows())
+def test_signed_keys_equal_their_definitions_past_the_exhaustive_range(s):
+    # drops_key_d and _zdrops_key read drops_d, zdrops and inv_d off one
+    # _scan_b walk and the first two entries
+    for name in ("drops_key_d", "_zdrops_key"):
+        assert MARKED[name](s) == DEFINITIONS[name](s), name
+
+
 def test_each_context_builds_its_table_from_a_counted_block():
     # S_8 with 5-position tables: 56 unused sets, each counted element-wise
     # over its first block (5! calls), and the other 280 of the 8*7*6
@@ -108,6 +131,18 @@ def test_each_context_builds_its_table_from_a_counted_block():
 @pytest.mark.parametrize("name", sorted(MARKED))
 def test_table_path_equals_the_element_wise_count(name):
     assert mismatches(MARKED[name], GROUPS) == []
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("kind, hook", [("B", genpoly.drops_key_b), ("D", genpoly.drops_key_d),
+                                        ("B", verify._zdrops_key)])
+def test_sweeps_at_the_benchmark_sizes_equal_the_element_wise_count(kind, hook, monkeypatch):
+    # thm-typeB and thm-typeD at --n 7, the parallel-sweep sizes, and
+    # lemma7.2 at --n 7: past the groups above
+    monkeypatch.setattr(pc.os, "cpu_count", lambda: 2)
+    want = pc._count(kind, 7, hook, 0, 1)
+    for threads in (1, 2):
+        assert pc.sweep(kind, 7, hook, threads) == want, threads
 
 
 def test_a_wrong_mark_is_caught():
