@@ -12,6 +12,7 @@ in the test suite.
 from __future__ import annotations
 
 import bisect
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Sequence
 
@@ -27,25 +28,28 @@ from .reduced_words import canonical_word
 # ---------------------------------------------------------------------------
 
 def _prefix_dominated(u: Sequence[int], v: Sequence[int]) -> bool:
-    # u <= v iff every sorted prefix of u is entrywise <= that of v
+    # u <= v iff every sorted prefix of u is entrywise <= that of v.  Adding
+    # a <= b to two dominated prefixes keeps them dominated, so only a step
+    # with a > b needs the entrywise comparison.
     su: list[int] = []
     sv: list[int] = []
-    for i in range(len(u) - 1):
-        bisect.insort(su, u[i])
-        bisect.insort(sv, v[i])
-        if any(a > b for a, b in zip(su, sv)):
+    for a, b in zip(u[:-1], v):
+        bisect.insort(su, a)
+        bisect.insort(sv, b)
+        if a > b and not all(map(operator.le, su, sv)):
             return False
     return True
 
 
 def _embed_b(s: Sequence[int]) -> Window:
-    # the window on 1..2n of the action on -n..-1,1..n (0 skipped)
+    # the window on 1..2n of the action on -n..-1,1..n (0 skipped): x goes
+    # to x + n + (x < 0), and -x to 2n + 1 minus that
     n = len(s)
-    enc = lambda x: x + n if x > 0 else x + n + 1
     out = [0] * (2 * n)
-    for i, v in enumerate(s, start=1):
-        out[enc(i) - 1] = enc(v)
-        out[enc(-i) - 1] = enc(-v)
+    for i, v in enumerate(s):
+        e = v + n + (v < 0)
+        out[n + i] = e
+        out[n - 1 - i] = 2 * n + 1 - e
     return tuple(out)
 
 

@@ -188,10 +188,11 @@ def _cmd_path(args) -> int:
 
 def _cmd_poly(args) -> int:
     which = args.which
+    if args.group != "S" and which not in ("signed-drops", "drops"):
+        raise _die(f"poly --which {which} is defined on S_n only, not on {args.group}_n")
     if which != "per-path":
         # drops-mad is the one enumerator that still sweeps its group
-        group = args.group if which in ("signed-drops", "drops") else "S"
-        _check_budget(f"poly --which {which}", group, args.n,
+        _check_budget(f"poly --which {which}", args.group, args.n,
                       transfer=which != "drops-mad")
     if which == "trivariate":
         poly = gp.signed_trivariate(args.n)

@@ -271,6 +271,7 @@ def _dep_inv_key(w):
     return 0, 0, inv, depth, 0
 
 
+@pc.block_additive(groups="SA")
 def _drops_mad_key(w):
     return 0, 0, mad(w), pc.drops(w), 0
 

@@ -409,22 +409,23 @@ def sweep(kind: str, n: int, hook: Callable[[Window], Hashable],
     The hook must be a module-level function, since workers receive it
     pickled by name.
 
-    A hook marked with :func:`block_additive` is counted a block at a time,
-    walking the group by context: the unused values of a block's last
-    positions and, in A_n and D_n, the parity they must have.  The first
-    block of a context builds its table of key differences; every other
-    block with that context is one hook call per first suffix value, and
-    each distinct key so found is shifted by the table once.  Workers split
-    such a hook by context, one share each, so each table is built once.
-    Any other hook is called on every element, and workers split it
-    into rank ranges; only then is the order of the keys the rank order of
-    the first element giving each, and so only such hooks return witnesses.
+    A hook marked with :func:`block_additive` for this group is counted a
+    block at a time, walking the group by context: the unused values of a
+    block's last positions and, in A_n and D_n, the parity they must have.
+    The first block of a context builds its table of key differences; every
+    other block with that context is one hook call per first suffix value,
+    and each distinct key so found is shifted by the table once.  Workers
+    split such a hook by context, one share each, so each table is built
+    once.  Any other hook, and a marked hook over a group its mark leaves
+    out, is called on every element, and workers split it into rank ranges;
+    only then is the order of the keys the rank order of the first element
+    giving each, and so only such hooks return witnesses.
 
     >>> dict(sweep("S", 3, des))
     {0: 1, 1: 4, 2: 1}
     """
     total = group_order(kind, n)
-    count = getattr(hook, "sweep_count", _count)
+    count = _count_blocks if kind in getattr(hook, "table_groups", ()) else _count
     workers = pool_size(threads, os.cpu_count())
     if workers == 1 or total < _PARALLEL_CUTOFF:
         return count(kind, n, hook, 0, 1)
@@ -455,24 +456,37 @@ def _count(kind: str, n: int, hook: Callable[[Window], Hashable],
 # block tables: additive hooks counted a block at a time
 # ---------------------------------------------------------------------------
 
-def block_additive(hook: Callable[[Window], Hashable]) -> Callable[[Window], Hashable]:
+def block_additive(hook: Callable[[Window], Hashable] | None = None, *,
+                   groups: str = "SABD"):
     """
-    Mark a sweep hook as additive, so that :func:`sweep` counts it a block
-    at a time: the distinct keys that a context's blocks give at one first
-    suffix value are each shifted once by that value's key differences.
+    Mark a sweep hook as additive in the given groups, so that :func:`sweep`
+    counts it over them a block at a time: the distinct keys that a
+    context's blocks give at one first suffix value are each shifted once by
+    that value's key differences.  Over any other group the hook is counted
+    element-wise.  Use it bare, ``@block_additive``, for all four groups, or
+    as ``@block_additive(groups="SA")``.
 
     The hook must return a signed monomial key (a, b, c, d, s): four
-    exponents in [0, 2**15) and a parity bit.  Take two windows that share
-    a prefix of at least two positions and the first entry after it.  The
-    difference of their keys (exponents subtracted, parities added mod 2)
-    must not depend on that prefix, only on the two suffixes.  Sums of
-    per-position terms, adjacent-pair terms and inversion counts have this
-    property, in every group: inversions between the prefix and the suffix
-    change with the suffix only through its negated entries, and negating
-    u changes them by the number of unused absolute values below u.
+    exponents in [0, 2**15) and a parity bit.  Take two windows of a marked
+    group that share a prefix of at least two positions and the first entry
+    after it.  The difference of their keys (exponents subtracted, parities
+    added mod 2) must not depend on that prefix, only on the two suffixes.
+    Sums of per-position terms, adjacent-pair terms and inversion counts
+    have this property, in every group: inversions between the prefix and
+    the suffix change with the suffix only through its negated entries, and
+    negating u changes them by the number of unused absolute values below u.
+    Counts of the prefix values that lie in an interval set by the suffix
+    read the prefix's set, not its order; the embracing counts of
+    genpoly.mad are of this kind in S_n and A_n, but not under signed
+    prefixes, so the mad hooks are marked for S and A alone.
     """
-    hook.sweep_count = _count_blocks
-    return hook
+    if not groups or set(groups) - set(GROUPS):
+        raise ValueError(f"block_additive groups {groups!r}: expected letters of {GROUPS}")
+
+    def mark(h: Callable[[Window], Hashable]) -> Callable[[Window], Hashable]:
+        h.table_groups = tuple(groups)
+        return h
+    return mark if hook is None else mark(hook)
 
 
 # Suffix length of a table block: the most positions whose tables pay for

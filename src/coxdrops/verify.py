@@ -80,8 +80,10 @@ def _zdrops_key(s):
     return negatives, 0, (drops + min(s[0], 0)) if s else 0, 0, (length - negatives) % 2
 
 
+@pc.block_additive(groups="SA")
 def _mad_key(w):
-    return pc._scan(w)[:3] + (gp.mad(w),)
+    # (inv, drops, depth, mad) as a monomial, so S_n is counted by tables
+    return pc._scan(w)[:3] + (gp.mad(w), 0)
 
 
 def _mad_path_key(w):
@@ -280,7 +282,7 @@ def _run_mad(n: int, threads: int):
         dm[drops, mad] += c
         di[depth, inv] += c
         if paths:
-            per_path.setdefault(key[4], Counter())[0, 0, inv, depth, 0] += c
+            per_path.setdefault(key[5], Counter())[0, 0, inv, depth, 0] += c
     # (drops, mad) pairs up with (depth, inv)
     if dm != di:
         return "(drops, mad) is not equidistributed with (depth, inv)"

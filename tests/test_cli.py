@@ -134,6 +134,19 @@ def test_poly_drops_mad_at_n_zero(capsys):
     assert code == 0 and out == "1\n"
 
 
+@pytest.mark.parametrize("which, group", [
+    ("trivariate", "B"), ("dep-inv", "A"), ("drops-mad", "D"), ("drops-mad", "A")])
+def test_poly_refuses_a_group_it_is_not_defined_on(which, group, capsys):
+    # these enumerators are over S_n; another group is refused, not ignored
+    with pytest.raises(SystemExit) as exc:
+        main(["poly", "--which", which, "--group", group, "--n", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: poly --which {which} is defined on S_n only, "
+                            f"not on {group}_n\n")
+
+
 def test_poly_verbs(capsys):
     code, out = run_cli(capsys, "poly", "--which", "trivariate", "--n", "2")
     assert out.strip() == "1 - t*p*q"

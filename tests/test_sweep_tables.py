@@ -3,10 +3,11 @@ The block-table path of perm_core.sweep against the element-wise count.
 
 Every hook marked with perm_core.block_additive in genpoly and verify is
 found by its mark, so a hook marked later is covered with no change here.
-A mark promises the table invariant in every group, so each marked hook is
-checked on S, A, B and D alike.  Each hook is also held to its definition
-from the public statistics, since a hook that is wrong but still additive
-agrees with itself on both paths.
+A mark promises the table invariant in the groups it names, so each marked
+hook is checked on those groups, and sweep is held to the element-wise count
+over the others.  Each hook is also held to its definition from the public
+statistics, since a hook that is wrong but still additive agrees with itself
+on both paths.
 """
 
 import math
@@ -26,7 +27,7 @@ RAGGED = (("S", 7), ("A", 7), ("B", 5), ("D", 6))
 
 MARKED = {f.__name__: f for module in (genpoly, verify)
           for f in vars(module).values()
-          if getattr(f, "sweep_count", None) is pc._count_blocks}
+          if getattr(f, "table_groups", None)}
 
 
 # each marked hook's key, built from the public statistics
@@ -39,9 +40,16 @@ DEFINITIONS = {
     "_dep_inv_key": lambda w: (0, 0, pc.inv(w), pc.depth(w), 0),
     "_bivariate_key": lambda w: (pc.exc(w), pc.depth(w), pc.drops(w), pc.des(w), 0),
     "_zdrops_key": lambda s: (len(pc.negs(s)), 0, pc.zdrops(s), 0, pc.inv_d(s) % 2),
+    "_mad_key": lambda w: (pc.inv(w), pc.drops(w), pc.depth(w), genpoly.mad(w), 0),
+    "_drops_mad_key": lambda w: (0, 0, genpoly.mad(w), pc.drops(w), 0),
 }
 DEFINED_ON = ([("S", n) for n in range(1, 8)] + [("A", n) for n in range(1, 8)]
               + [("B", n) for n in range(1, 6)] + [("D", n) for n in range(2, 6)])
+
+
+def marked(hook, groups):
+    """The groups of `groups` that the hook's mark names."""
+    return [(kind, n) for kind, n in groups if kind in hook.table_groups]
 
 
 def outcome(count, *args):
@@ -68,7 +76,17 @@ def _drops_mad_key(w):
 def test_the_additive_hooks_are_marked():
     assert set(MARKED) >= {
         "trivariate_key", "drops_key_s", "drops_key_b", "drops_key_d",
-        "_unsigned_drops_key", "_dep_inv_key", "_bivariate_key", "_zdrops_key"}
+        "_unsigned_drops_key", "_dep_inv_key", "_bivariate_key", "_zdrops_key",
+        "_mad_key", "_drops_mad_key"}
+    # mad's embracing counts read the prefix's set only when it is unsigned
+    assert {name: "".join(f.table_groups) for name, f in MARKED.items()
+            if f.table_groups != pc.GROUPS} == {"_mad_key": "SA", "_drops_mad_key": "SA"}
+
+
+def test_a_mark_names_known_groups():
+    for groups in ("", "SX", "C"):
+        with pytest.raises(ValueError, match="block_additive groups"):
+            pc.block_additive(groups=groups)
 
 
 def test_every_marked_hook_has_a_definition():
@@ -78,7 +96,7 @@ def test_every_marked_hook_has_a_definition():
 @pytest.mark.parametrize("name", sorted(MARKED))
 def test_marked_hooks_equal_their_definitions(name):
     hook, definition = MARKED[name], DEFINITIONS[name]
-    for kind, n in DEFINED_ON:
+    for kind, n in marked(hook, DEFINED_ON):
         for w in pc.iter_group(kind, n):
             assert outcome(hook, w) == outcome(definition, w), (kind, w)
 
@@ -127,10 +145,40 @@ def test_each_context_builds_its_table_from_a_counted_block():
         assert calls == 8120
 
 
+def counted_mad_key():
+    # verify._mad_key under its own mark, counting its calls
+    calls = Counter()
+
+    @pc.block_additive(groups=verify._mad_key.table_groups)
+    def counted(w):
+        calls["hook"] += 1
+        return verify._mad_key(w)
+
+    return counted, calls
+
+
+def test_the_mad_key_is_counted_by_tables_on_s8():
+    # the same 56 * 120 + 280 * 5 calls as any table hook, not 8! = 40,320
+    hook, calls = counted_mad_key()
+    assert pc.sweep("S", 8, hook) == pc._count("S", 8, verify._mad_key, 0, 1)
+    assert calls["hook"] == 8120
+
+
+@pytest.mark.parametrize("kind", ["B", "D"])
+def test_a_mark_gates_the_table_path_by_group(kind):
+    # the mad key is marked for S and A alone: over B_5 and D_5 sweep counts
+    # it element-wise, one call per element, where the tables would be wrong
+    hook, calls = counted_mad_key()
+    want = pc._count(kind, 5, verify._mad_key, 0, 1)
+    assert pc.sweep(kind, 5, hook) == want
+    assert calls["hook"] == pc.group_order(kind, 5)
+    assert pc._count_blocks(kind, 5, verify._mad_key, 0, 1) != want
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("name", sorted(MARKED))
 def test_table_path_equals_the_element_wise_count(name):
-    assert mismatches(MARKED[name], GROUPS) == []
+    assert mismatches(MARKED[name], marked(MARKED[name], GROUPS)) == []
 
 
 @pytest.mark.slow
@@ -161,7 +209,7 @@ def contexts(kind, n):
 @pytest.mark.parametrize("name", sorted(MARKED))
 def test_shares_sum_to_the_element_wise_count(name):
     hook = MARKED[name]
-    for kind, n in RAGGED:
+    for kind, n in marked(hook, RAGGED):
         want = pc._count(kind, n, hook, 0, 1)
         for shares in (1, 2, 3, 5, 7):
             parts = [pc._count_blocks(kind, n, hook, i, shares) for i in range(shares)]
@@ -174,6 +222,8 @@ def test_shares_sum_to_the_element_wise_count(name):
 
 
 def test_parallel_chunks_match_the_element_wise_count(monkeypatch):
+    # every group, so that a group a mark leaves out is swept element-wise
+    # in the pool too
     monkeypatch.setattr(pc.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(pc, "_PARALLEL_CUTOFF", 0)
     for name, hook in sorted(MARKED.items()):

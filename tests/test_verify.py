@@ -175,6 +175,19 @@ def test_parallel_chunks_match_serial(monkeypatch):
         assert strip(parallel) == strip(serial[name]), name
 
 
+def test_mad_reports_match_serial_across_workers(monkeypatch):
+    # n <= 7 sweeps the path key by rank ranges, n = 8 the mad key by table
+    # contexts
+    import coxdrops.perm_core as pc
+    serial = list(run_claim("mad", threads=1))
+    monkeypatch.setattr(pc.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(pc, "_PARALLEL_CUTOFF", 1)
+    strip = lambda rs: [dataclasses.replace(r, elapsed_ms=0) for r in rs]
+    assert [r.n for r in serial] == list(range(1, 9))
+    assert all(r.ok for r in serial)
+    assert strip(run_claim("mad", threads=2)) == strip(serial)
+
+
 def test_pair_claims_match_serial_across_workers(monkeypatch):
     # the pair hooks compare a 2-cycle at its earlier member, which a rank
     # range may hold apart from its partner
