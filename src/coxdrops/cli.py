@@ -188,8 +188,9 @@ def _cmd_path(args) -> int:
 
 def _cmd_poly(args) -> int:
     which = args.which
-    if args.group != "S" and which not in ("signed-drops", "drops"):
-        raise _die(f"poly --which {which} is defined on S_n only, not on {args.group}_n")
+    groups = {"signed-drops": "S_n, B_n and D_n", "drops": "S_n and A_n"}.get(which, "S_n")
+    if f"{args.group}_n" not in groups:
+        raise _die(f"poly --which {which} is defined on {groups} only, not on {args.group}_n")
     if which != "per-path":
         # drops-mad is the one enumerator that still sweeps its group
         _check_budget(f"poly --which {which}", args.group, args.n,

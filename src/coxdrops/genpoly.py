@@ -5,6 +5,8 @@ elements of a group, and the continued-fraction convergent.
 
 Coefficients are Python ints (arbitrary precision); every identity here is
 an exact equality of coefficient dictionaries, never a numeric comparison.
+Inside the transfer a state's q-polynomial is one int whose balanced
+base-2^w digits are its coefficients, with w wide enough for any of them.
 """
 
 from __future__ import annotations
@@ -295,8 +297,10 @@ _STEPS = {
 
 def transitions(kind: str, n: int) -> int:
     """
-    The size of a transfer: about 2^n n states times n steps out of each,
-    with both signs of a magnitude counted in B_n and D_n.
+    An upper bound on the steps of a transfer, the budget's measure: 2^n n
+    states times n steps out of each, with both signs of a magnitude
+    counted in B_n and D_n.  A step places an unused entry only, so the
+    transfer makes about a quarter of these (9,225 at S_9, 5,390 at B_7).
 
     >>> transitions("S", 9), transitions("B", 7)
     (41472, 25088)
@@ -305,15 +309,31 @@ def transitions(kind: str, n: int) -> int:
     return (2 * n if kind in ("B", "D") else n) ** 2 << n
 
 
+def _digits(packed: int, w: int) -> dict[int, int]:
+    # the exponent -> coefficient map of an int whose base-2^w digits are
+    # balanced: a digit of 2^(w-1) or more stands for a negative coefficient
+    out, half, e = {}, 1 << w - 1, 0
+    while packed:
+        c = (packed + half & (1 << w) - 1) - half
+        if c:
+            out[e] = c
+        packed, e = packed - c >> w, e + 1
+    return out
+
+
 def _transfer(kind: str, n: int, stat: str, last: bool = True) -> MultiPoly:
     # the sum over the group of the signed monomials _STEPS[stat] builds,
     # with the sign netted into the coefficients and no zero kept; a step
     # that never reads prev passes last=False.  Each level is emptied as
-    # the next one fills.  Exponents are packed as perm_core packs keys, but
-    # inline: a _pack call per step makes the transfer a quarter slower.
+    # the next one fills.  A state maps its (t, p, x) exponents, packed as
+    # perm_core packs keys, to one int whose base-2^w digits are the
+    # q-coefficients (Kronecker substitution), so a step adds c << q*w for
+    # each key.  A coefficient counts at most the prefixes that reach its
+    # state, fewer than 2^(w-1), so the digits never overlap.
     pc.check_group(kind, n)
     step = _STEPS[stat]
     signed = kind in ("B", "D")
+    w = pc.group_order("B" if signed else "S", n).bit_length() + 1
     entries = [v for a in range(1, n + 1) for v in ((-a, a) if signed else (a,))]
     level = {(0, 0, 0): {0: 1}}                # (used bits, last entry, odd negatives)
     for i in range(1, n + 1):
@@ -324,25 +344,28 @@ def _transfer(kind: str, n: int, stat: str, last: bool = True) -> MultiPoly:
                 if used >> abs(v) & 1:
                     continue
                 t, p, q, x, s = step(i, prev, v, (used >> abs(v)).bit_count())
-                shift = t | p << _BITS | q << 2 * _BITS | x << 3 * _BITS
-                sign = -1 if s & 1 else 1
+                shift = t | p << _BITS | x << 3 * _BITS
+                qw = q * w
                 out = nxt.setdefault((used | 1 << abs(v), v if last else 0,
                                       odd ^ (v < 0) if kind == "D" else 0), {})
                 get = out.get
                 for e, c in poly.items():
                     e += shift
-                    c = get(e, 0) + sign * c
+                    c = get(e, 0) + (-c << qw if s & 1 else c << qw)
                     if c:
                         out[e] = c
                     else:                      # most signed terms cancel
                         del out[e]
         level = nxt
-    terms: Counter = Counter()
+    total: Counter = Counter()
     for (_, _, odd), poly in level.items():
         if not odd:                            # D_n keeps even negatives
-            for e, c in poly.items():
-                terms[_unpack(e)[:4]] += c
-    return MultiPoly(terms)
+            total.update(poly)
+    out = MultiPoly()
+    for e, packed in total.items():
+        t, p, _, x, _ = _unpack(e)
+        out.terms.update(((t, p, q, x), c) for q, c in _digits(packed, w).items())
+    return out
 
 
 def signed_trivariate(n: int) -> MultiPoly:

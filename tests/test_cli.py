@@ -147,6 +147,21 @@ def test_poly_refuses_a_group_it_is_not_defined_on(which, group, capsys):
                             f"not on {group}_n\n")
 
 
+@pytest.mark.parametrize("which, group, groups", [
+    ("drops", "B", "S_n and A_n"), ("drops", "D", "S_n and A_n"),
+    ("signed-drops", "A", "S_n, B_n and D_n")])
+def test_poly_refuses_a_drops_enumerator_off_its_groups(which, group, groups, capsys,
+                                                        monkeypatch):
+    monkeypatch.setattr(cli.gp, "_transfer", _no_sweep)
+    with pytest.raises(SystemExit) as exc:
+        main(["poly", "--which", which, "--group", group, "--n", "3"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: poly --which {which} is defined on {groups} only, "
+                            f"not on {group}_n\n")
+
+
 def test_poly_verbs(capsys):
     code, out = run_cli(capsys, "poly", "--which", "trivariate", "--n", "2")
     assert out.strip() == "1 - t*p*q"

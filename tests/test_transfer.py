@@ -138,3 +138,47 @@ def test_signed_drops_d_past_the_sweep_range(n):
 @pytest.mark.parametrize("n", [9, 10, 11, 12])
 def test_drops_moments_a_past_the_sweep_range(n):
     assert gp.drops_moments("A", n) == moments(n)
+
+
+# ---------------------------------------------------------------------------
+# the widest coefficients: what a too-narrow q-digit would corrupt
+# ---------------------------------------------------------------------------
+
+def mahonian(n):
+    # the product of [k]_q over k = 1..n, by list convolution
+    out = [1]
+    for k in range(1, n + 1):
+        out = [sum(out[j - i] for i in range(k) if 0 <= j - i < len(out))
+               for j in range(len(out) + k - 1)]
+    return {e: c for e, c in enumerate(out) if c}
+
+
+@pytest.mark.parametrize("n", [9, 10, 11])
+def test_dep_inv_at_x1_is_the_mahonian_product_past_the_sweep_range(n):
+    assert gp.dep_inv_poly(n).substitute(x=1).terms == q_terms(mahonian(n))
+
+
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_drops_poly_s_past_the_sweep_range(n):
+    dist = gp.drops_poly("S", n).univariate("q")
+    assert sum(dist.values()) == math.factorial(n)
+    assert gp.mean_variance(dist) == moments(n)
+
+
+@pytest.mark.parametrize("w", [2, 5, 21])
+def test_digits_decode_balanced_digits(w):
+    top = (1 << w - 1) - 1                     # the widest coefficient allowed
+    for poly in ({}, {0: top}, {0: -top}, {0: top, 3: -top}, {1: 1, 4: -top},
+                 {0: -1, 2: top, 5: -1}, {3: -top}):
+        packed = sum(c << e * w for e, c in poly.items())
+        assert gp._digits(packed, w) == poly
+
+
+@pytest.mark.parametrize("kind, n", [("S", n) for n in range(1, 10)]
+                         + [(k, n) for k in "BD" for n in range(2, 7)])
+def test_transfer_holds_the_whole_group_on_one_coefficient(kind, n, monkeypatch):
+    # every element gets (-1)^n q^3, so one coefficient is +-|group|, the
+    # largest a state can hold
+    monkeypatch.setitem(gp._STEPS, "flat", lambda i, prev, v, above: (0, 0, 3 * (i == 1), 0, 1))
+    order = pc.group_order(kind, n)
+    assert gp._transfer(kind, n, "flat").terms == {(0, 0, 3, 0): (-1) ** n * order}
