@@ -97,7 +97,7 @@ _SIGNED_STATS = (("inv_b", pc.inv_b), ("inv_d", pc.inv_d),
 
 
 def _cmd_stats(args) -> int:
-    if args.elem:
+    if args.elem is not None:
         w = pc.parse_window(args.elem)
         stats = _UNSIGNED_STATS if pc.is_unsigned(w) else _SIGNED_STATS
         rows = [("element", pc.format_window(w))]
@@ -165,7 +165,7 @@ def _cmd_fz(args) -> int:
 
 
 def _cmd_path(args) -> int:
-    if args.path:
+    if args.path is not None:
         steps = args.path.upper()
         rows = [("path", steps), ("heights", ",".join(map(str, heights(steps)))),
                 ("area", area(steps)), ("max_height", max_height(steps))]
@@ -206,7 +206,7 @@ def _cmd_poly(args) -> int:
     elif which == "drops-mad":
         poly = gp.drops_mad_poly(args.n)
     elif which == "per-path":
-        if not args.path:
+        if args.path is None:
             raise _die("poly --which per-path needs --path")
         poly = gp.per_path_enumerator(args.path.upper())
     else:

@@ -8,6 +8,10 @@ dotted-east step of a 2-Motzkin path; plain Motzkin paths use only
 of N steps minus the number of S steps strictly before i.  A path must stay
 at height >= 0 and return to 0.
 
+`fz_history` and `from_history` are the encoding and its inverse; the
+private `_round_trip` fuses the two into one walk for the `fz` check and is
+held to them by the tests.
+
 >>> fz_history((4, 3, 2, 1))
 LaguerreHistory(steps='NNSS', labels=(0, 1, 1, 0))
 """
@@ -240,6 +244,49 @@ def _decode(steps: str, labels: tuple[int, ...]) -> tuple[int, Window] | None:
             p[positions.pop(0)] = i + 1
             positions.insert(len(positions) - k, i)
     return None if values or len(steps) != len(labels) else (ar, tuple(p))
+
+
+def _round_trip(p: Sequence[int]) -> tuple[int, int, int, Window] | None:
+    # _history and _decode fused into one walk, for the fz check: each
+    # (step, label) pair is computed as _history computes it, with the step
+    # coded N 0, E 1, D 2, S 3, and fed straight to _decode's insertion
+    # state (here with 1-based positions).  The decoder half reads only the
+    # pair and its own state, never `seen`, `left` or p, so a decoded window
+    # equal to p is a genuine left inverse.  Returns (area, nest, #N + #D,
+    # decoded window), or None where _decode rejects the history.
+    out = [0] * (len(p) + 1)
+    positions, values = [], []
+    seen = ar = nest = up = 0
+    for i, v in enumerate(p, 1):
+        left = (seen >> v).bit_count()
+        back = seen >> i & 1
+        seen |= 1 << v
+        if v > i:
+            s, k = back, left
+        else:
+            s, k = 1 if v == i else 2 + back, left + v - i
+        h = len(values)
+        if not 0 <= k <= h - (s >> 1):
+            return None
+        ar += h
+        nest += k
+        if s == 0:
+            positions.insert(len(positions) - k, i)
+            values.append(i)
+            up += 1
+        elif s == 3:
+            out[positions.pop(0)] = i
+            out[i] = values.pop(k)
+        elif s == 2:
+            out[i] = values.pop(k)
+            values.append(i)
+            up += 1
+        elif k == h:                             # E at full height: p_i = i
+            out[i] = i
+        else:
+            out[positions.pop(0)] = i
+            positions.insert(len(positions) - k, i)
+    return None if values else (ar, nest, up, tuple(out[1:]))
 
 
 def motzkin_shape(p: Sequence[int]) -> str:

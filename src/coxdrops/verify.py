@@ -23,7 +23,7 @@ from . import perm_core as pc
 from .genpoly import MultiPoly, jfraction_convergent
 from .involutions import (_swap_magnitudes, _swap_positions, _toggle_a,
                           _toggle_b, fixed_points)
-from .laguerre import (_decode, _history, _shape, max_height, motzkin_paths,
+from .laguerre import (_round_trip, _shape, max_height, motzkin_paths,
                        path_weight)
 from .perm_core import format_window, group_order, sweep
 
@@ -91,19 +91,20 @@ def _mad_path_key(w):
 
 
 def _fz_key(w):
-    h = _history(w)
-    decoded = _decode(h.steps, h.labels)
-    if decoded is None:
+    # one walk encodes w and decodes each pair as it is made; _scan stays
+    # the independent source of inv, depth and iexc
+    trip = _round_trip(w)
+    if trip is None:
         return f"{format_window(w)}: image is not a restricted history"
-    ar, back = decoded
+    ar, nest, up, back = trip
     if back != w:
         return f"{format_window(w)}: history does not decode to it"
     inv, _, depth, iexc = pc._scan(w)[:4]
     if depth != ar:
         return f"{format_window(w)}: depth {depth} != area {ar}"
-    if inv != ar + sum(h.labels):
-        return f"{format_window(w)}: inv {inv} != area+nest {ar + sum(h.labels)}"
-    if iexc != h.steps.count("N") + h.steps.count("D"):
+    if inv != ar + nest:
+        return f"{format_window(w)}: inv {inv} != area+nest {ar + nest}"
+    if iexc != up:
         return f"{format_window(w)}: iexc != #N + #dE"
     return None
 

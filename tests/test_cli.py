@@ -123,6 +123,26 @@ def test_path_sweep(capsys):
     assert sum(int(r["weight"]) for r in rows) == 24
 
 
+def test_path_verb_reads_the_empty_path(capsys):
+    code, out = run_cli(capsys, "path", "--path", "", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {"path": "", "heights": "", "area": 0,
+                               "max_height": 0, "weight": 1}
+
+
+def test_per_path_enumerator_of_the_empty_path(capsys):
+    code, out = run_cli(capsys, "poly", "--which", "per-path", "--path", "")
+    assert code == 0 and out == "1\n"
+
+
+def test_stats_parses_an_empty_element(capsys):
+    # an empty --elem is given, so it is parsed, not reported missing
+    assert main(["stats", "--elem", ""]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: position 1: expected an integer, got ''\n"
+
+
 def test_path_sweep_refuses_negative_n(capsys):
     assert main(["path", "--n", "-1"]) == 2
     captured = capsys.readouterr()

@@ -1,12 +1,17 @@
+import dataclasses
+import itertools
 import json
 import math
 from collections import Counter
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coxdrops import perm_core as pc
 from coxdrops.involutions import fixed_points, involution_a
-from coxdrops.laguerre import (LaguerreHistory, area, from_history,
+from coxdrops.laguerre import (LaguerreHistory, _decode, _history,
+                               _round_trip, area, from_history,
                                fz_history, heights, max_height, motzkin_paths,
                                motzkin_shape, nest, path_weight)
 from oracles import (cyclic_classify, laguerre_histories, nest_at,
@@ -134,6 +139,51 @@ def test_every_restricted_history_decodes_to_its_preimage():
 def test_from_history_rejects_histories_that_are_not_restricted(steps, labels):
     with pytest.raises(ValueError, match="not a restricted Laguerre history"):
         from_history(steps, labels)
+
+
+# ---------------------------------------------------------------------------
+# the fused round trip against the encoder and decoder it fuses
+# ---------------------------------------------------------------------------
+
+def _round_trip_oracle(w):
+    h = _history(w)
+    decoded = _decode(h.steps, h.labels)
+    if decoded is None:
+        return None
+    return decoded[0], sum(h.labels), h.steps.count("N") + h.steps.count("D"), decoded[1]
+
+
+def test_round_trip_matches_the_oracle_on_every_short_word():
+    # all of {1..n}^n for n = 0..6; most words encode to a history the
+    # decoder rejects, and some decode to a window other than themselves
+    words = rejected = 0
+    for n in range(7):
+        for w in itertools.product(range(1, n + 1), repeat=n):
+            want = _round_trip_oracle(w)
+            assert _round_trip(w) == want, w
+            words += 1
+            rejected += want is None
+    assert (words, rejected) == (50_070, 46_574)
+
+
+def test_round_trip_matches_the_oracle_on_s7_and_s8(groups):
+    for n in (7, 8):
+        for w in groups["S"](n):
+            assert _round_trip(w) == _round_trip_oracle(w), w
+
+
+permutations_9_to_30 = st.integers(9, 30).flatmap(
+    lambda n: st.permutations(range(1, n + 1))).map(tuple)
+
+
+@given(permutations_9_to_30)
+def test_from_history_inverts_fz_history_up_to_n30(w):
+    assert from_history(*dataclasses.astuple(fz_history(w))) == w
+
+
+@given(permutations_9_to_30)
+def test_round_trip_matches_the_oracle_up_to_n30(w):
+    assert _round_trip(w) == _round_trip_oracle(w)
 
 
 # ---------------------------------------------------------------------------

@@ -390,9 +390,9 @@ def test_a_mutual_pair_is_reported_at_its_earlier_member(monkeypatch, threads):
 def _count_calls(monkeypatch, module, name):
     real, calls = getattr(module, name), []
 
-    def counted(w):
-        calls.append(w)
-        return real(w)
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
 
     monkeypatch.setattr(module, name, counted)
     return calls
@@ -422,6 +422,18 @@ def test_shape_reads_each_non_fixed_shape_once(monkeypatch, n):
     calls = _count_calls(monkeypatch, v, "_shape")
     sweep("S", n, v._shape_witness)
     assert len(calls) == math.factorial(n) - 2 ** (n - 1)
+
+
+@pytest.mark.parametrize("n", range(1, 8))
+def test_fz_walks_each_element_once(monkeypatch, n):
+    # one fused walk per element; the separate encoder and decoder stay idle
+    import coxdrops.laguerre as lag
+    import coxdrops.verify as v
+    calls = _count_calls(monkeypatch, v, "_round_trip")
+    idle = [_count_calls(monkeypatch, lag, name) for name in ("_history", "_decode")]
+    sweep("S", n, v._fz_key)
+    assert len(calls) == math.factorial(n)
+    assert idle == [[], []]
 
 
 # ---------------------------------------------------------------------------
@@ -463,10 +475,11 @@ def test_restricted_area_agrees_with_is_valid_on_short_words():
 
 
 def test_fz_reports_a_history_that_is_not_restricted(monkeypatch):
+    # the victim takes the round trip of (1, 1), whose encoding E, D at
+    # height 0 the decoder half rejects
     import coxdrops.verify as v
-    real = v._history
-    monkeypatch.setattr(v, "_history", lambda w: (
-        LaguerreHistory("SN", (0, 0)) if w == (2, 1) else real(w)))
+    real = v._round_trip
+    monkeypatch.setattr(v, "_round_trip", lambda w: real((1, 1) if w == (2, 1) else w))
     (report,) = run_claim("fz", ns=(2,), threads=1)
     assert report.witness == "2,1: image is not a restricted history"
 
@@ -474,10 +487,10 @@ def test_fz_reports_a_history_that_is_not_restricted(monkeypatch):
 @pytest.mark.parametrize("victim, target", [((1, 3, 2), (3, 2, 1)),
                                             ((3, 2, 1), (1, 3, 2))])
 def test_fz_reports_two_windows_sent_to_one_history(monkeypatch, victim, target):
-    # the victim takes the target's history, which decodes to the target
+    # the victim takes the target's round trip, which decodes to the target
     import coxdrops.verify as v
-    real = v._history
-    monkeypatch.setattr(v, "_history", lambda w: real(target if w == victim else w))
+    real = v._round_trip
+    monkeypatch.setattr(v, "_round_trip", lambda w: real(target if w == victim else w))
     (report,) = run_claim("fz", ns=(3,), threads=1)
     assert report.status == "fail"
     assert report.witness == f"{format_window(victim)}: history does not decode to it"
