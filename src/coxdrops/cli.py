@@ -192,9 +192,7 @@ def _cmd_poly(args) -> int:
     if f"{args.group}_n" not in groups:
         raise _die(f"poly --which {which} is defined on {groups} only, not on {args.group}_n")
     if which != "per-path":
-        # drops-mad is the one enumerator that still sweeps its group
-        _check_budget(f"poly --which {which}", args.group, args.n,
-                      transfer=which != "drops-mad")
+        _check_budget(f"poly --which {which}", args.group, args.n, transfer=True)
     if which == "trivariate":
         poly = gp.signed_trivariate(args.n)
     elif which == "signed-drops":

@@ -228,7 +228,7 @@ def q_integer(k: int) -> MultiPoly:
 # uses, its last entry and, in D_n, the parity of its negatives.  The key
 # hooks below give the monomial (a, b, c, d, s) of a whole element; verify
 # sweeps them (a block at a time, see perm_core.block_additive), and the
-# tests hold each transfer to a sweep of its hook.
+# tests hold each transfer to an element-wise sweep of such a key.
 
 @pc.block_additive
 def trivariate_key(w: Sequence[int]) -> tuple[int, ...]:
@@ -263,36 +263,30 @@ def drops_key_d(s: Sequence[int]) -> tuple[int, ...]:
 
 
 @pc.block_additive
-def _unsigned_drops_key(w):
-    return 0, 0, pc.drops(w), 0, 0
-
-
-@pc.block_additive
 def _dep_inv_key(w):
     inv, _, depth = pc._scan(w)[:3]
     return 0, 0, inv, depth, 0
 
 
-@pc.block_additive(groups="SA")
-def _drops_mad_key(w):
-    return 0, 0, mad(w), pc.drops(w), 0
-
-
 # The same monomials a step at a time: what placing entry v at position i
-# after the entry prev adds, where `above` counts the magnitudes placed
-# before v that exceed |v|.  A window starts after the virtual entry 0,
-# drops_b's prefix.  (-1)^inv_b is the sign of |s| times (-1)^#negatives,
-# (-1)^inv_d the sign of |s|, and drops_d's virtual entry -s_2 is charged
-# when s_2 is placed.
+# after the entry prev adds, where `used` has bit |u| set for each entry u
+# placed before v and `above` counts those with |u| > |v|.  A window starts
+# after the virtual entry 0, drops_b's prefix.  (-1)^inv_b is the sign of
+# |s| times (-1)^#negatives, (-1)^inv_d the sign of |s|, and drops_d's
+# virtual entry -s_2 is charged when s_2 is placed.  mad is step-local too
+# (see mad): a descent from prev to v adds prev - v and the used values
+# strictly between v and prev.
 _STEPS = {
-    "trivariate": lambda i, prev, v, above: (
+    "trivariate": lambda i, prev, v, above, used: (
         v > i, max(v - i, 0), max(prev - v, 0), 0, above),
-    "S": lambda i, prev, v, above: (0, 0, max(prev - v, 0), 0, above),
-    "B": lambda i, prev, v, above: (0, 0, max(prev - v, 0), 0, above + (v < 0)),
-    "D": lambda i, prev, v, above: (
+    "S": lambda i, prev, v, above, used: (0, 0, max(prev - v, 0), 0, above),
+    "B": lambda i, prev, v, above, used: (0, 0, max(prev - v, 0), 0, above + (v < 0)),
+    "D": lambda i, prev, v, above, used: (
         0, 0, (i > 1) * max(prev - v, 0) + (i == 2) * max(-v - prev, 0), 0, above),
-    "unsigned": lambda i, prev, v, above: (0, 0, max(prev - v, 0), 0, 0),
-    "dep-inv": lambda i, prev, v, above: (0, 0, above, max(v - i, 0), 0),
+    "unsigned": lambda i, prev, v, above, used: (0, 0, max(prev - v, 0), 0, 0),
+    "dep-inv": lambda i, prev, v, above, used: (0, 0, above, max(v - i, 0), 0),
+    "drops-mad": lambda i, prev, v, above, used: (0, 0, 0, 0, 0) if prev < v else (
+        0, 0, prev - v + (used >> v + 1 & (1 << prev - v - 1) - 1).bit_count(), prev - v, 0),
 }
 
 def transitions(kind: str, n: int) -> int:
@@ -343,7 +337,7 @@ def _transfer(kind: str, n: int, stat: str, last: bool = True) -> MultiPoly:
             for v in entries:
                 if used >> abs(v) & 1:
                     continue
-                t, p, q, x, s = step(i, prev, v, (used >> abs(v)).bit_count())
+                t, p, q, x, s = step(i, prev, v, (used >> abs(v)).bit_count(), used)
                 shift = t | p << _BITS | x << 3 * _BITS
                 qw = q * w
                 out = nxt.setdefault((used | 1 << abs(v), v if last else 0,
@@ -511,33 +505,27 @@ def mad(p: Sequence[int]) -> int:
     >>> mad((2, 3, 1))
     3
     """
-    # One right-to-left scan over the descent blocks; a block's drops
-    # telescope to first - last.  `inside` holds a bitmask per block of two
-    # or more letters to the right: the values it embraces.  Value v is bit
-    # v + n, so that signed windows work too.
+    # One left-to-right walk: a descent from prev to v adds prev - v to the
+    # drops and embraces each placed value strictly between v and prev,
+    # since the block's own letters so far are all >= prev.  `seen` has bit
+    # u + n for each placed value u, so that signed windows work too, and
+    # prev starts below every entry.
     n = len(p)
-    total = 0
-    inside: list[int] = []
-    block = 0                                  # values of the current block
-    last = p[-1] if p else 0
-    for k in range(n - 1, -1, -1):
-        v = p[k]
-        block |= 1 << v + n
-        if k and p[k - 1] > v:
-            continue                           # the block goes on leftwards
-        for m in inside:
-            total += (block & m).bit_count()
-        if v > last:
-            total += v - last
-            inside.append((1 << v + n) - (2 << last + n))
-        block = 0
-        last = p[k - 1]
+    total, seen, prev = 0, 0, -n - 1
+    for v in p:
+        if prev > v:
+            total += prev - v + (seen >> v + n + 1 & (1 << prev - v - 1) - 1).bit_count()
+        seen |= 1 << v + n
+        prev = v
     return total
 
 
 def drops_mad_poly(n: int) -> MultiPoly:
-    """Sum over S_n of x^drops q^mad; equidistributed with (depth, inv)."""
-    return poly_from_counter(pc.sweep("S", n, _drops_mad_key))
+    """
+    Sum over S_n of x^drops q^mad; equidistributed with (depth, inv).  A
+    transfer, since mad is step-local given the set of values placed.
+    """
+    return _transfer("S", n, "drops-mad")
 
 
 # ---------------------------------------------------------------------------

@@ -476,9 +476,12 @@ def block_additive(hook: Callable[[Window], Hashable] | None = None, *,
     the suffix change with the suffix only through its negated entries, and
     negating u changes them by the number of unused absolute values below u.
     Counts of the prefix values that lie in an interval set by the suffix
-    read the prefix's set, not its order; the embracing counts of
-    genpoly.mad are of this kind in S_n and A_n, but not under signed
-    prefixes, so the mad hooks are marked for S and A alone.
+    read the prefix's set, not its order.  genpoly.mad is of this kind: a
+    descent from u to v adds u - v and the number of values placed before
+    v strictly between v and u.  In S_n and A_n a context fixes the
+    prefix's set of values, but in B_n and D_n only their magnitudes, and
+    the signs move prefix values in and out of such an interval, so the
+    mad hook is marked for S and A alone.
     """
     if not groups or set(groups) - set(GROUPS):
         raise ValueError(f"block_additive groups {groups!r}: expected letters of {GROUPS}")

@@ -547,8 +547,8 @@ def test_sweeping_verbs_refuse_a_group_over_budget(capsys, monkeypatch, argv, me
 
 
 @pytest.mark.parametrize("argv, message", [
-    (["poly", "--which", "drops-mad", "--n", "13"],
-     "poly --which drops-mad would sweep S_13 (6,227,020,800 elements)"),
+    (["poly", "--which", "drops-mad", "--n", "17"],
+     "poly --which drops-mad would run a transfer over S_17 (37,879,808 transitions)"),
     (["poly", "--which", "trivariate", "--n", "17"],
      "poly --which trivariate would run a transfer over S_17 (37,879,808 transitions)"),
     (["poly", "--which", "signed-drops", "--group", "B", "--n", "15"],
@@ -574,6 +574,16 @@ def test_poly_and_path_run_at_the_budget_edge(capsys, monkeypatch):
     assert main(["poly", "--which", "trivariate", "--n", "16"]) == 0
     assert main(["poly", "--which", "signed-drops", "--group", "D", "--n", "14"]) == 0
     assert main(["path", "--n", "19"]) == 0
+
+
+def test_poly_drops_mad_visits_no_element(capsys, monkeypatch):
+    # (drops, mad) and (depth, inv) are equidistributed, and both are
+    # transfers over subset states
+    monkeypatch.setattr(cli.pc, "iter_group", _no_sweep)
+    monkeypatch.setattr(cli.pc, "sweep", _no_sweep)
+    code, out = run_cli(capsys, "poly", "--which", "drops-mad", "--n", "11")
+    assert code == 0
+    assert out == run_cli(capsys, "poly", "--which", "dep-inv", "--n", "11")[1]
 
 
 # SHA-256 of the expected CSV bytes, written to stdout and to --out alike

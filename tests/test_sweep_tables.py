@@ -36,12 +36,10 @@ DEFINITIONS = {
     "drops_key_s": lambda w: (0, 0, pc.drops(w), 0, pc.inv(w) % 2),
     "drops_key_b": lambda s: (0, 0, pc.drops_b(s), 0, pc.inv_b(s) % 2),
     "drops_key_d": lambda s: (0, 0, pc.drops_d(s), 0, pc.inv_d(s) % 2),
-    "_unsigned_drops_key": lambda w: (0, 0, pc.drops(w), 0, 0),
     "_dep_inv_key": lambda w: (0, 0, pc.inv(w), pc.depth(w), 0),
     "_bivariate_key": lambda w: (pc.exc(w), pc.depth(w), pc.drops(w), pc.des(w), 0),
     "_zdrops_key": lambda s: (len(pc.negs(s)), 0, pc.zdrops(s), 0, pc.inv_d(s) % 2),
     "_mad_key": lambda w: (pc.inv(w), pc.drops(w), pc.depth(w), genpoly.mad(w), 0),
-    "_drops_mad_key": lambda w: (0, 0, genpoly.mad(w), pc.drops(w), 0),
 }
 DEFINED_ON = ([("S", n) for n in range(1, 8)] + [("A", n) for n in range(1, 8)]
               + [("B", n) for n in range(1, 6)] + [("D", n) for n in range(2, 6)])
@@ -69,18 +67,13 @@ def mismatches(hook, groups):
     return bad
 
 
-def _drops_mad_key(w):
-    return genpoly._drops_mad_key(w)
-
-
 def test_the_additive_hooks_are_marked():
     assert set(MARKED) >= {
         "trivariate_key", "drops_key_s", "drops_key_b", "drops_key_d",
-        "_unsigned_drops_key", "_dep_inv_key", "_bivariate_key", "_zdrops_key",
-        "_mad_key", "_drops_mad_key"}
+        "_dep_inv_key", "_bivariate_key", "_zdrops_key", "_mad_key"}
     # mad's embracing counts read the prefix's set only when it is unsigned
     assert {name: "".join(f.table_groups) for name, f in MARKED.items()
-            if f.table_groups != pc.GROUPS} == {"_mad_key": "SA", "_drops_mad_key": "SA"}
+            if f.table_groups != pc.GROUPS} == {"_mad_key": "SA"}
 
 
 def test_a_mark_names_known_groups():
@@ -194,10 +187,13 @@ def test_sweeps_at_the_benchmark_sizes_equal_the_element_wise_count(kind, hook, 
 
 
 def test_a_wrong_mark_is_caught():
-    # mad counts embracing descent runs, which can reach from the prefix
-    # into the suffix; over B_n and D_n that makes its differences depend on
-    # the prefix
-    hook = pc.block_additive(_drops_mad_key)
+    # a descent of mad counts the placed values inside it; over B_n and D_n
+    # a context fixes the prefix's magnitudes, not its values, so the
+    # differences depend on the prefix's signs
+    @pc.block_additive
+    def hook(w):
+        return 0, 0, genpoly.mad(w), pc.drops(w), 0
+
     assert mismatches(hook, [("B", 5), ("D", 5)]) == [("B", 5), ("D", 5)]
 
 

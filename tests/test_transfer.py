@@ -12,12 +12,25 @@ import math
 from fractions import Fraction
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coxdrops import genpoly as gp
 from coxdrops import perm_core as pc
 from coxdrops import verify
+from oracles import right_embracings
 
 SWEPT = {"S": range(0, 9), "A": range(0, 9), "B": range(0, 7), "D": range(2, 7)}
+
+
+def unsigned_drops_key(w):
+    return 0, 0, pc.drops(w), 0, 0
+
+
+def drops_mad_key(w):
+    # mad from its definition: drops plus the right embracings
+    return 0, 0, pc.drops(w) + sum(right_embracings(w)), pc.drops(w), 0
+
 
 # (name, route, key hook, groups)
 ROUTES = (
@@ -26,8 +39,9 @@ ROUTES = (
     ("signed_drops", gp.signed_drops, gp.drops_key_s, "S"),
     ("signed_drops", gp.signed_drops, gp.drops_key_b, "B"),
     ("signed_drops", gp.signed_drops, gp.drops_key_d, "D"),
-    ("drops_poly", gp.drops_poly, gp._unsigned_drops_key, "SA"),
+    ("drops_poly", gp.drops_poly, unsigned_drops_key, "SA"),
     ("dep_inv_poly", lambda kind, n: gp.dep_inv_poly(n), gp._dep_inv_key, "S"),
+    ("drops_mad_poly", lambda kind, n: gp.drops_mad_poly(n), drops_mad_key, "S"),
 )
 
 
@@ -50,7 +64,7 @@ def test_transfer_equals_the_element_wise_sweep(route, hook, kind, n):
 
 @pytest.mark.parametrize("kind, n", [(k, n) for k in "SA" for n in SWEPT[k]])
 def test_drops_moments_equal_those_of_the_sweep(kind, n):
-    want = gp.mean_variance(swept(kind, n, gp._unsigned_drops_key).univariate("q"))
+    want = gp.mean_variance(swept(kind, n, unsigned_drops_key).univariate("q"))
     assert gp.drops_moments(kind, n) == want
 
 
@@ -70,6 +84,7 @@ def test_enumerators_visit_no_element(monkeypatch):
     assert gp.drops_poly("A", 3).terms == {(0, 0, 0, 0): 1, (0, 0, 2, 0): 2}
     assert gp.drops_moments("A", 5) == moments(5)
     assert sum(gp.dep_inv_poly(5).terms.values()) == 120
+    assert sum(gp.drops_mad_poly(5).terms.values()) == 120
 
 
 def test_cfrac_sweeps_the_hook_with_the_thread_count(monkeypatch):
@@ -158,6 +173,28 @@ def test_dep_inv_at_x1_is_the_mahonian_product_past_the_sweep_range(n):
     assert gp.dep_inv_poly(n).substitute(x=1).terms == q_terms(mahonian(n))
 
 
+@pytest.mark.parametrize("n", [9, 10, 11])
+def test_drops_mad_is_the_jfraction_coefficient_past_the_sweep_range(n):
+    # (drops, mad) by the subset transfer against (depth, inv) by the path
+    # transfer, two unrelated routes
+    assert gp.drops_mad_poly(n) == gp.jfraction_convergent(n).coefficient(n)
+
+
+def fold(w):
+    # the (q, x) exponents that the drops-mad step adds up over the window
+    # w, with prev and used as _transfer keeps them
+    q = x = prev = used = 0
+    for i, v in enumerate(w, 1):
+        _, _, dq, dx, _ = gp._STEPS["drops-mad"](i, prev, v, (used >> abs(v)).bit_count(), used)
+        q, x, prev, used = q + dq, x + dx, v, used | 1 << abs(v)
+    return q, x
+
+
+@given(st.integers(9, 30).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_the_drops_mad_step_folds_to_mad_and_drops_up_to_n30(w):
+    assert fold(w) == (gp.mad(w), pc.drops(w))
+
+
 @pytest.mark.parametrize("n", [9, 10, 11, 12])
 def test_drops_poly_s_past_the_sweep_range(n):
     dist = gp.drops_poly("S", n).univariate("q")
@@ -179,6 +216,6 @@ def test_digits_decode_balanced_digits(w):
 def test_transfer_holds_the_whole_group_on_one_coefficient(kind, n, monkeypatch):
     # every element gets (-1)^n q^3, so one coefficient is +-|group|, the
     # largest a state can hold
-    monkeypatch.setitem(gp._STEPS, "flat", lambda i, prev, v, above: (0, 0, 3 * (i == 1), 0, 1))
+    monkeypatch.setitem(gp._STEPS, "flat", lambda i, prev, v, above, used: (0, 0, 3 * (i == 1), 0, 1))
     order = pc.group_order(kind, n)
     assert gp._transfer(kind, n, "flat").terms == {(0, 0, 3, 0): (-1) ** n * order}
