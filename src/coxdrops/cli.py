@@ -109,6 +109,8 @@ def _cmd_stats(args) -> int:
         return 0
     if args.n is None:
         raise _die("stats: need --elem or --n")
+    if args.format == "json":
+        raise _die("stats --n writes CSV; --format json applies to --elem only")
     _check_budget("stats", args.group, args.n)
     stats = _UNSIGNED_STATS if args.group in ("S", "A") else _SIGNED_STATS
     _emit_csv(["element"] + [name for name, _ in stats],
@@ -178,6 +180,8 @@ def _cmd_path(args) -> int:
         return 0
     if args.n is None:
         raise _die("path: need --path or --n")
+    if args.format == "json":
+        raise _die("path --n writes CSV; --format json applies to --path only")
     _within_budget(f"path would list the Motzkin paths of length {args.n}",
                    motzkin_number(args.n), "path")
     _emit_csv(["path", "weight", "area", "max_height"],
@@ -188,6 +192,8 @@ def _cmd_path(args) -> int:
 
 def _cmd_poly(args) -> int:
     which = args.which
+    if args.path is not None and which != "per-path":
+        raise _die(f"poly --path is read by --which per-path only, not by --which {which}")
     groups = {"signed-drops": "S_n, B_n and D_n", "drops": "S_n and A_n"}.get(which, "S_n")
     if f"{args.group}_n" not in groups:
         raise _die(f"poly --which {which} is defined on {groups} only, not on {args.group}_n")

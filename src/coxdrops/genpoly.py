@@ -225,57 +225,17 @@ def q_integer(k: int) -> MultiPoly:
 # An enumerator is a transfer over the subset states of Held and Karp
 # (Stanley, EC I, section 4.7): windows grow left to right, and a prefix
 # affects the rest of its signed monomial only through the magnitudes it
-# uses, its last entry and, in D_n, the parity of its negatives.  The key
-# hooks below give the monomial (a, b, c, d, s) of a whole element; verify
-# sweeps them (a block at a time, see perm_core.block_additive), and the
-# tests hold each transfer to an element-wise sweep of such a key.
+# uses, its last entry and, in D_n, the parity of its negatives.  The tests
+# hold each transfer to an element-wise count of one of verify's key hooks.
 
-@pc.block_additive
-def trivariate_key(w: Sequence[int]) -> tuple[int, ...]:
-    """The signed monomial (-1)^inv t^exc p^depth q^drops of a permutation."""
-    inv, drops, depth, _, exc, _ = pc._scan(w)
-    return exc, depth, drops, 0, inv % 2
-
-
-@pc.block_additive
-def drops_key_s(w: Sequence[int]) -> tuple[int, ...]:
-    """(-1)^inv q^drops."""
-    inv, drops = pc._scan(w)[:2]
-    return 0, 0, drops, 0, inv % 2
-
-
-@pc.block_additive
-def drops_key_b(s: Sequence[int]) -> tuple[int, ...]:
-    """(-1)^inv_b q^drops_b."""
-    length, drops = pc._scan_b(s)
-    return 0, 0, drops, 0, length % 2
-
-
-@pc.block_additive
-def drops_key_d(s: Sequence[int]) -> tuple[int, ...]:
-    """(-1)^inv_d q^drops_d."""
-    if len(s) < 2:
-        raise ValueError("drops_d needs n >= 2 (the prefix entry is -s_2)")
-    # drops_b with the virtual entry -s_2 for 0; inv_d is inv_b - #negatives
-    length, drops = pc._scan_b(s)
-    return (0, 0, drops + max(-s[1] - s[0], 0) - max(-s[0], 0), 0,
-            (length + sum(map((0).__gt__, s))) % 2)
-
-
-@pc.block_additive
-def _dep_inv_key(w):
-    inv, _, depth = pc._scan(w)[:3]
-    return 0, 0, inv, depth, 0
-
-
-# The same monomials a step at a time: what placing entry v at position i
-# after the entry prev adds, where `used` has bit |u| set for each entry u
-# placed before v and `above` counts those with |u| > |v|.  A window starts
-# after the virtual entry 0, drops_b's prefix.  (-1)^inv_b is the sign of
-# |s| times (-1)^#negatives, (-1)^inv_d the sign of |s|, and drops_d's
-# virtual entry -s_2 is charged when s_2 is placed.  mad is step-local too
-# (see mad): a descent from prev to v adds prev - v and the used values
-# strictly between v and prev.
+# What placing entry v at position i after the entry prev adds to the
+# signed monomial (a, b, c, d, s) of poly_from_counter, where `used` has bit
+# |u| set for each entry u placed before v and `above` counts those with
+# |u| > |v|.  A window starts after the virtual entry 0, drops_b's prefix.
+# (-1)^inv_b is the sign of |s| times (-1)^#negatives, (-1)^inv_d the sign
+# of |s|, and drops_d's virtual entry -s_2 is charged when s_2 is placed.
+# mad is step-local too (see mad): a descent from prev to v adds prev - v
+# and the used values strictly between v and prev.
 _STEPS = {
     "trivariate": lambda i, prev, v, above, used: (
         v > i, max(v - i, 0), max(prev - v, 0), 0, above),

@@ -290,15 +290,12 @@ def _choices(rem: list[int], signed: bool) -> list[int]:
 
 
 def _place(kind: str, n: int, k: int) -> int:
-    # completions below one choice at 0-based position k
+    # completions below one choice at 0-based position k; in D_n the parity
+    # of the negatives fixes one sign of the other m positions
     m = n - k - 1
-    if kind == "S":
-        return math.factorial(m)
-    if kind == "A":
-        return max(1, math.factorial(m) // 2)
-    if kind == "B":
-        return (1 << m) * math.factorial(m)
-    return max(1, 1 << (m - 1)) * math.factorial(m) if m >= 1 else 1
+    if kind == "D":
+        return max(1, group_order("B", m) // 2)
+    return group_order(kind, m)
 
 
 def unrank(kind: str, n: int, r: int) -> Window:

@@ -16,7 +16,7 @@ import time
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterator
+from typing import Callable, Iterator, Sequence
 
 from . import genpoly as gp
 from . import perm_core as pc
@@ -63,6 +63,44 @@ class VerificationReport:
 
 def _witness(keys) -> str | None:
     return next((k for k in keys if k is not None), None)
+
+
+@pc.block_additive
+def trivariate_key(w: Sequence[int]) -> tuple[int, ...]:
+    """The signed monomial (-1)^inv t^exc p^depth q^drops of a permutation."""
+    inv, drops, depth, _, exc, _ = pc._scan(w)
+    return exc, depth, drops, 0, inv % 2
+
+
+@pc.block_additive
+def drops_key_s(w: Sequence[int]) -> tuple[int, ...]:
+    """(-1)^inv q^drops."""
+    inv, drops = pc._scan(w)[:2]
+    return 0, 0, drops, 0, inv % 2
+
+
+@pc.block_additive
+def drops_key_b(s: Sequence[int]) -> tuple[int, ...]:
+    """(-1)^inv_b q^drops_b."""
+    length, drops = pc._scan_b(s)
+    return 0, 0, drops, 0, length % 2
+
+
+@pc.block_additive
+def drops_key_d(s: Sequence[int]) -> tuple[int, ...]:
+    """(-1)^inv_d q^drops_d."""
+    if len(s) < 2:
+        raise ValueError("drops_d needs n >= 2 (the prefix entry is -s_2)")
+    # drops_b with the virtual entry -s_2 for 0; inv_d is inv_b - #negatives
+    length, drops = pc._scan_b(s)
+    return (0, 0, drops + max(-s[1] - s[0], 0) - max(-s[0], 0), 0,
+            (length + sum(map((0).__gt__, s))) % 2)
+
+
+@pc.block_additive
+def _dep_inv_key(w):
+    inv, _, depth = pc._scan(w)[:3]
+    return 0, 0, inv, depth, 0
 
 
 @pc.block_additive
@@ -186,15 +224,19 @@ def _invol_fault_b(s, hit):
 
 
 # ---------------------------------------------------------------------------
-# expected polynomials
+# swept enumerators against their closed forms
 # ---------------------------------------------------------------------------
 
-def _one_minus(var: str, power: int, cube: bool = False) -> MultiPoly:
-    base = MultiPoly.one() - MultiPoly.term(1, **{var: 1})
-    out = base ** power
-    if cube:
-        out = out * (MultiPoly.one() - MultiPoly.term(1, q=3))
-    return out
+def _binomial(power: int, **monomial: int) -> MultiPoly:
+    # (1 - monomial)^power, e.g. _binomial(2, t=1, p=1, q=1) = (1 - tpq)^2
+    return (MultiPoly.one() - MultiPoly.term(1, **monomial)) ** power
+
+
+def _swept_equals(kind: str, n: int, key: Callable, threads: int,
+                  want: MultiPoly, witness: str):
+    # the signed monomials of a key hook summed over the group, against want
+    got = gp.poly_from_counter(sweep(kind, n, key, threads))
+    return None if got == want else witness
 
 
 # ---------------------------------------------------------------------------
@@ -202,42 +244,31 @@ def _one_minus(var: str, power: int, cube: bool = False) -> MultiPoly:
 # ---------------------------------------------------------------------------
 
 def _run_thm13(n: int, threads: int):
-    got = gp.poly_from_counter(sweep("S", n, gp.trivariate_key, threads))
-    if got != (MultiPoly.one() - MultiPoly.term(1, t=1, p=1, q=1)) ** (n - 1):
-        return f"trivariate enumerator differs from (1-tpq)^{n - 1}"
-    return None
+    return _swept_equals("S", n, trivariate_key, threads, _binomial(n - 1, t=1, p=1, q=1),
+                         f"trivariate enumerator differs from (1-tpq)^{n - 1}")
 
 
 def _run_cor14(n: int, threads: int):
     if n >= 9:
-        got = gp.poly_from_counter(sweep("S", n, gp.drops_key_s, threads))
-        if got != _one_minus("q", n - 1):
-            return f"signed drops enumerator differs from (1-q)^{n - 1}"
-        return None
-    tri = gp.poly_from_counter(sweep("S", n, gp.trivariate_key, threads))
-    checks = [
-        (tri.substitute(t=1, p=1), _one_minus("q", n - 1), "drops"),
-        (tri.substitute(p=1, q=1), _one_minus("t", n - 1), "excedance"),
-        (tri.substitute(t=1, q=1), _one_minus("p", n - 1), "depth"),
-    ]
-    for got, want, name in checks:
-        if got != want:
+        return _swept_equals("S", n, drops_key_s, threads, _binomial(n - 1, q=1),
+                             f"signed drops enumerator differs from (1-q)^{n - 1}")
+    tri = gp.poly_from_counter(sweep("S", n, trivariate_key, threads))
+    for var, name in (("q", "drops"), ("t", "excedance"), ("p", "depth")):
+        ones = dict.fromkeys("tpq".replace(var, ""), 1)
+        if tri.substitute(**ones) != _binomial(n - 1, **{var: 1}):
             return f"signed {name} specialization differs from the binomial form"
     return None
 
 
 def _run_typeb(n: int, threads: int):
-    got = gp.poly_from_counter(sweep("B", n, gp.drops_key_b, threads))
-    if got != _one_minus("q", n):
-        return f"type-B signed drops enumerator differs from (1-q)^{n}"
-    return None
+    return _swept_equals("B", n, drops_key_b, threads, _binomial(n, q=1),
+                         f"type-B signed drops enumerator differs from (1-q)^{n}")
 
 
 def _run_typed(n: int, threads: int):
-    got = gp.poly_from_counter(sweep("D", n, gp.drops_key_d, threads))
-    if got != _one_minus("q", n - 1, cube=True):
-        return f"type-D signed drops enumerator differs from (1-q^3)(1-q)^{n - 1}"
-    return None
+    want = _binomial(n - 1, q=1) * _binomial(1, q=3)
+    return _swept_equals("D", n, drops_key_d, threads, want,
+                         f"type-D signed drops enumerator differs from (1-q^3)(1-q)^{n - 1}")
 
 
 def _run_lemma72(n: int, threads: int):
@@ -266,10 +297,9 @@ def _run_thm11(n: int, threads: int):
 def _run_cfrac(n: int, threads: int):
     # the path transfer against the exhaustive sweep, not against
     # dep_inv_poly, which is a transfer too
-    swept = gp.poly_from_counter(sweep("S", n, gp._dep_inv_key, threads))
-    if jfraction_convergent(n).coefficient(n) != swept:
-        return f"t^{n} coefficient of the convergent differs from the enumerator"
-    return None
+    want = jfraction_convergent(n).coefficient(n)
+    return _swept_equals("S", n, _dep_inv_key, threads, want,
+                         f"t^{n} coefficient of the convergent differs from the enumerator")
 
 
 def _run_mad(n: int, threads: int):
@@ -318,7 +348,7 @@ def _run_shape(n: int, threads: int):
 def _run_moments(n: int, threads: int):
     full: Counter = Counter()
     even: Counter = Counter()
-    for (_, _, d, _, odd), c in sweep("S", n, gp.drops_key_s, threads).items():
+    for (_, _, d, _, odd), c in sweep("S", n, drops_key_s, threads).items():
         full[d] += c
         if not odd:
             even[d] += c

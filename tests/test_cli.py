@@ -5,6 +5,7 @@ import json
 import math
 import os
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -147,6 +148,38 @@ def test_path_sweep_refuses_negative_n(capsys):
     assert main(["path", "--n", "-1"]) == 2
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == "error: n must be >= 0\n"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["stats", "--group", "B", "--n", "1"],
+     "stats --n writes CSV; --format json applies to --elem only"),
+    (["path", "--n", "3"], "path --n writes CSV; --format json applies to --path only"),
+])
+def test_csv_sweeps_refuse_json(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        main([*argv, "--format", "json"])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_poly_refuses_a_path_it_would_not_read(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["poly", "--which", "trivariate", "--n", "3", "--path", "NES"])
+    assert exc.value.code == 2
+    assert capsys.readouterr() == (
+        "", "error: poly --path is read by --which per-path only, not by --which trivariate\n")
+
+
+def test_readme_cli_commands_parse():
+    # parsed, not run: `match ... --dot m.dot` would write a file
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## CLI\n", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [shlex.split(line, comments=True) for line in block.splitlines()]
+    commands = [argv[1:] for argv in lines if argv[:1] == ["coxdrops"]]
+    assert len(commands) == 15
+    parser = cli.build_parser()
+    for argv in commands:
+        assert parser.parse_args(argv).func, argv
 
 
 def test_poly_drops_mad_at_n_zero(capsys):

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -24,3 +25,14 @@ def test_package_imports_only_the_standard_library():
     files = {f"coxdrops.{p.stem}" for p in (SRC / "coxdrops").glob("*.py")
              if p.stem not in ("__init__", "__main__")}
     assert modules == files
+
+
+def test_genpoly_sweeps_nothing():
+    # its enumerators are transfers; the key hooks they are held to, and
+    # every sweep, belong to verify
+    from coxdrops import genpoly
+    assert [f for f in vars(genpoly).values() if hasattr(f, "table_groups")] == []
+    tree = ast.parse((SRC / "coxdrops" / "genpoly.py").read_text())
+    called = {getattr(node.func, "attr", getattr(node.func, "id", None))
+              for node in ast.walk(tree) if isinstance(node, ast.Call)}
+    assert "sweep" not in called and "_transfer" in called

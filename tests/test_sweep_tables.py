@@ -1,11 +1,11 @@
 """
 The block-table path of perm_core.sweep against the element-wise count.
 
-Every hook marked with perm_core.block_additive in genpoly and verify is
-found by its mark, so a hook marked later is covered with no change here.
-A mark promises the table invariant in the groups it names, so each marked
-hook is checked on those groups, and sweep is held to the element-wise count
-over the others.  Each hook is also held to its definition from the public
+Every hook marked with perm_core.block_additive in verify is found by its
+mark, so a hook marked later is covered with no change here.  A mark
+promises the table invariant in the groups it names, so each marked hook is
+checked on those groups, and sweep is held to the element-wise count over
+the others.  Each hook is also held to its definition from the public
 statistics, since a hook that is wrong but still additive agrees with itself
 on both paths.
 """
@@ -25,8 +25,7 @@ GROUPS = ([("S", n) for n in range(1, 9)] + [("A", n) for n in range(1, 9)]
 # groups of many table blocks each
 RAGGED = (("S", 7), ("A", 7), ("B", 5), ("D", 6))
 
-MARKED = {f.__name__: f for module in (genpoly, verify)
-          for f in vars(module).values()
+MARKED = {f.__name__: f for f in vars(verify).values()
           if getattr(f, "table_groups", None)}
 
 
@@ -126,9 +125,9 @@ def test_each_context_builds_its_table_from_a_counted_block():
     def counted(w):
         nonlocal calls
         calls += 1
-        return genpoly.drops_key_s(w)
+        return verify.drops_key_s(w)
 
-    want = pc._count("S", 8, genpoly.drops_key_s, 0, 1)
+    want = pc._count("S", 8, verify.drops_key_s, 0, 1)
     assert pc.sweep("S", 8, counted) == want
     assert calls == 56 * 120 + 280 * 5 == 8120
     for shares in (2, 3):
@@ -175,7 +174,7 @@ def test_table_path_equals_the_element_wise_count(name):
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("kind, hook", [("B", genpoly.drops_key_b), ("D", genpoly.drops_key_d),
+@pytest.mark.parametrize("kind, hook", [("B", verify.drops_key_b), ("D", verify.drops_key_d),
                                         ("B", verify._zdrops_key)])
 def test_sweeps_at_the_benchmark_sizes_equal_the_element_wise_count(kind, hook, monkeypatch):
     # thm-typeB and thm-typeD at --n 7, the parallel-sweep sizes, and

@@ -35,12 +35,12 @@ def drops_mad_key(w):
 # (name, route, key hook, groups)
 ROUTES = (
     ("signed_trivariate", lambda kind, n: gp.signed_trivariate(n),
-     gp.trivariate_key, "S"),
-    ("signed_drops", gp.signed_drops, gp.drops_key_s, "S"),
-    ("signed_drops", gp.signed_drops, gp.drops_key_b, "B"),
-    ("signed_drops", gp.signed_drops, gp.drops_key_d, "D"),
+     verify.trivariate_key, "S"),
+    ("signed_drops", gp.signed_drops, verify.drops_key_s, "S"),
+    ("signed_drops", gp.signed_drops, verify.drops_key_b, "B"),
+    ("signed_drops", gp.signed_drops, verify.drops_key_d, "D"),
     ("drops_poly", gp.drops_poly, unsigned_drops_key, "SA"),
-    ("dep_inv_poly", lambda kind, n: gp.dep_inv_poly(n), gp._dep_inv_key, "S"),
+    ("dep_inv_poly", lambda kind, n: gp.dep_inv_poly(n), verify._dep_inv_key, "S"),
     ("drops_mad_poly", lambda kind, n: gp.drops_mad_poly(n), drops_mad_key, "S"),
 )
 
@@ -97,7 +97,7 @@ def test_cfrac_sweeps_the_hook_with_the_thread_count(monkeypatch):
     monkeypatch.setattr(verify, "sweep", sweep)
     monkeypatch.setattr(gp, "_transfer", _no_sweep)
     assert verify._run_cfrac(5, 3) is None
-    assert calls == [("S", 5, gp._dep_inv_key, 3)]
+    assert calls == [("S", 5, verify._dep_inv_key, 3)]
 
 
 # ---------------------------------------------------------------------------

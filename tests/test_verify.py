@@ -44,8 +44,8 @@ def test_sweep_uses_the_default_context_without_fork(monkeypatch):
     import itertools
     import multiprocessing
 
-    from coxdrops import genpoly
     from coxdrops import perm_core as pc
+    from coxdrops import verify
 
     class SerialPool:
         def __init__(self, workers):
@@ -70,13 +70,13 @@ def test_sweep_uses_the_default_context_without_fork(monkeypatch):
 
     # an unmarked hook is counted element-wise, in rank order of first keys
     serial = pc.sweep("D", 4, pc.drops_d, threads=1)
-    marked = pc.sweep("D", 4, genpoly.drops_key_d, threads=1)
+    marked = pc.sweep("D", 4, verify.drops_key_d, threads=1)
     monkeypatch.setattr(multiprocessing, "get_context", get_context)
     monkeypatch.setattr(pc.os, "cpu_count", lambda: 2)
     monkeypatch.setattr(pc, "_PARALLEL_CUTOFF", 0)
     chunked = pc.sweep("D", 4, pc.drops_d, threads=2)
     assert chunked == serial and list(chunked) == list(serial)
-    assert pc.sweep("D", 4, genpoly.drops_key_d, threads=2) == marked
+    assert pc.sweep("D", 4, verify.drops_key_d, threads=2) == marked
 
 
 def test_unknown_claim():
@@ -218,6 +218,34 @@ def test_failing_report_carries_witness(monkeypatch):
     assert report.status == "fail"
     # the witness is the first violation in rank order
     assert report.witness == "(1, 2, 3): say the shape changed"
+
+
+@pytest.mark.parametrize("claim, n, witness", [
+    ("thm1.3", 4, "trivariate enumerator differs from (1-tpq)^3"),
+    ("cor1.4", 4, "signed drops specialization differs from the binomial form"),
+    ("cor1.4", 9, "signed drops enumerator differs from (1-q)^8"),
+    ("thm-typeB", 3, "type-B signed drops enumerator differs from (1-q)^3"),
+    ("thm-typeD", 3, "type-D signed drops enumerator differs from (1-q^3)(1-q)^2"),
+    ("cfrac", 4, "t^4 coefficient of the convergent differs from the enumerator"),
+])
+def test_a_wrong_enumerator_is_named_in_the_witness(monkeypatch, claim, n, witness):
+    # one monomial, q, is no enumerator the claims expect
+    import coxdrops.verify as v
+    monkeypatch.setattr(v, "sweep", lambda *args: Counter({(0, 0, 1, 0, 0): 1}))
+    (report,) = run_claim(claim, ns=(n,), threads=1)
+    assert (report.status, report.witness) == ("fail", witness)
+
+
+@pytest.mark.parametrize("keys, name", [
+    ([(0, 0, 0, 0, 0), (0, 0, 1, 0, 1)], "excedance"),
+    ([(0, 0, 0, 0, 0), (1, 0, 1, 0, 1)], "depth"),
+])
+def test_cor14_names_the_first_wrong_specialization(monkeypatch, keys, name):
+    # 1 - q specializes right for drops alone, 1 - tq for drops and excedance
+    import coxdrops.verify as v
+    monkeypatch.setattr(v, "sweep", lambda *args: Counter(keys))
+    (report,) = run_claim("cor1.4", ns=(2,), threads=1)
+    assert report.witness == f"signed {name} specialization differs from the binomial form"
 
 
 @pytest.mark.slow
