@@ -45,16 +45,16 @@ def _within_budget(what: str, size: int, unit: str, hint: str = "") -> None:
                    f"{SWEEP_BUDGET:,}-{unit} budget{hint}")
 
 
-def _check_budget(what: str, group: str, n: int, hint: str = "",
-                  transfer: bool = False) -> None:
-    # a sweep visits every element; a transfer is sized by its steps
-    # between subset states (genpoly.transitions)
-    if transfer:
-        _within_budget(f"{what} would run a transfer over {group}_{n}",
-                       gp.transitions(group, n), "transition", hint)
-    else:
-        _within_budget(f"{what} would sweep {group}_{n}",
-                       pc.group_order(group, n), "element", hint)
+def _check_budget(what: str, group: str, n: int, hint: str = "") -> None:
+    _within_budget(f"{what} would sweep {group}_{n}",
+                   pc.group_order(group, n), "element", hint)
+
+
+def _refuse_unread(verb: str, args, names: tuple[str, ...], mode: str) -> None:
+    # an option the chosen mode would not read is refused, not ignored
+    for name in names:
+        if getattr(args, name) is not None:
+            raise _die(f"{verb} --{name} is not read with {mode}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -98,6 +98,7 @@ _SIGNED_STATS = (("inv_b", pc.inv_b), ("inv_d", pc.inv_d),
 
 def _cmd_stats(args) -> int:
     if args.elem is not None:
+        _refuse_unread("stats", args, ("n", "group"), "--elem")
         w = pc.parse_window(args.elem)
         stats = _UNSIGNED_STATS if pc.is_unsigned(w) else _SIGNED_STATS
         rows = [("element", pc.format_window(w))]
@@ -111,11 +112,12 @@ def _cmd_stats(args) -> int:
         raise _die("stats: need --elem or --n")
     if args.format == "json":
         raise _die("stats --n writes CSV; --format json applies to --elem only")
-    _check_budget("stats", args.group, args.n)
-    stats = _UNSIGNED_STATS if args.group in ("S", "A") else _SIGNED_STATS
+    group = args.group or "S"
+    _check_budget("stats", group, args.n)
+    stats = _UNSIGNED_STATS if group in ("S", "A") else _SIGNED_STATS
     _emit_csv(["element"] + [name for name, _ in stats],
               ([pc.format_window(w)] + [f(w) for _, f in stats]
-               for w in pc.iter_group(args.group, args.n)), args.out)
+               for w in pc.iter_group(group, args.n)), args.out)
     return 0
 
 
@@ -168,6 +170,7 @@ def _cmd_fz(args) -> int:
 
 def _cmd_path(args) -> int:
     if args.path is not None:
+        _refuse_unread("path", args, ("n",), "--path")
         steps = args.path.upper()
         rows = [("path", steps), ("heights", ",".join(map(str, heights(steps)))),
                 ("area", area(steps)), ("max_height", max_height(steps))]
@@ -197,21 +200,24 @@ def _cmd_poly(args) -> int:
     groups = {"signed-drops": "S_n, B_n and D_n", "drops": "S_n and A_n"}.get(which, "S_n")
     if f"{args.group}_n" not in groups:
         raise _die(f"poly --which {which} is defined on {groups} only, not on {args.group}_n")
-    if which != "per-path":
-        _check_budget(f"poly --which {which}", args.group, args.n, transfer=True)
+    n = 0 if args.n is None else args.n
+    if which != "per-path":                   # sized by its subset-state steps
+        _within_budget(f"poly --which {which} would run a transfer over {args.group}_{n}",
+                       gp.transitions(args.group, n), "transition")
     if which == "trivariate":
-        poly = gp.signed_trivariate(args.n)
+        poly = gp.signed_trivariate(n)
     elif which == "signed-drops":
-        poly = gp.signed_drops(args.group, args.n)
+        poly = gp.signed_drops(args.group, n)
     elif which == "drops":
-        poly = gp.drops_poly(args.group, args.n)
+        poly = gp.drops_poly(args.group, n)
     elif which == "dep-inv":
-        poly = gp.dep_inv_poly(args.n)
+        poly = gp.dep_inv_poly(n)
     elif which == "drops-mad":
-        poly = gp.drops_mad_poly(args.n)
+        poly = gp.drops_mad_poly(n)
     elif which == "per-path":
         if args.path is None:
             raise _die("poly --which per-path needs --path")
+        _refuse_unread("poly", args, ("n",), "--which per-path")
         poly = gp.per_path_enumerator(args.path.upper())
     else:
         raise _die(f"unknown polynomial {which!r}")
@@ -323,7 +329,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser("stats", help="per-element statistics or CSV sweeps"))
     p.add_argument("--elem", help=_ELEM_HELP)
-    p.add_argument("--group", choices=pc.GROUPS, default="S")
+    p.add_argument("--group", choices=pc.GROUPS, help="default S")
     p.add_argument("--n", type=int)
     p.set_defaults(func=_cmd_stats)
 
@@ -351,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
                    choices=("trivariate", "signed-drops", "drops", "dep-inv",
                             "drops-mad", "per-path"))
     p.add_argument("--group", choices=pc.GROUPS, default="S")
-    p.add_argument("--n", type=int, default=0)
+    p.add_argument("--n", type=int, help="default 0")
     p.add_argument("--path")
     p.set_defaults(func=_cmd_poly)
 

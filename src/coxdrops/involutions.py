@@ -1,12 +1,11 @@
 """
 Sign-reversing involutions on S_n and B_n and the fixed-point generators.
 
-The involutions are defined on canonical reduced words (see
-``reduced_words``): toggling one letter of a canonical word multiplies the
-element by one reflection, so each map is computed by a single scan of the
-window that finds the toggled stage and swaps two values.  The scan rests
-on one fact: the stage-i factor of the canonical word has as many letters
-as there are inversions at one window position.
+The involutions are defined on canonical reduced words: toggling one
+letter of a canonical word multiplies the element by one reflection, and
+each stage factor is read off one window position by the rule stated in
+``reduced_words``.  So each map is a single scan of the window that finds
+the toggled stage and swaps two values.
 
 Type A (1-based positions).  Let t+1 be the leftmost position whose entry
 has at least two larger entries to its left; if there is none, p is a fixed
@@ -14,16 +13,15 @@ point.  Otherwise let a < b be the two largest of p_1..p_t.  The image is p
 with the values a and b swapped: the stage-(t-1) factor is toggled between
 empty and its single letter.
 
-Type B (0-based positions).  The stage-(i+1) factor has
-#{k<i : |s_k| > |s_i|} letters when s_i > 0, and i+1+#{k<i : |s_k| < |s_i|}
-when s_i < 0.  It is near-maximal, one of the two longest in its section,
-when i >= 1, s_i < 0 and |s_i| is among the two largest of |s_0..s_i|.  At
-the rightmost such i the two near-maximal forms are toggled: the two
-largest magnitudes of |s_0..s_i| swap places, each position keeping its
-sign.  With none, the fallback takes the first position d whose factor has
-two or more letters (a fixed point when there is none) and swaps the two
-largest magnitudes among |s_0..s_{d-1}| in the same way; d >= 2 here,
-since a negative s_1 is always near-maximal.
+Type B (0-based positions).  By that rule the stage-(i+1) factor is
+near-maximal, one of the two longest in its section, when i >= 1, s_i < 0
+and |s_i| is among the two largest of |s_0..s_i|.  At the rightmost such i
+the two near-maximal forms are toggled: the two largest magnitudes of
+|s_0..s_i| swap places, each position keeping its sign.  With none, the
+fallback takes the first position d whose factor has two or more letters
+(a fixed point when there is none) and swaps the two largest magnitudes
+among |s_0..s_{d-1}| in the same way; d >= 2 here, since a negative s_1
+is always near-maximal.
 
 Both maps preserve a drop statistic and flip the sign, so all non-fixed
 elements cancel out of signed enumerators.

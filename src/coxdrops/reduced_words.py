@@ -1,14 +1,24 @@
 """
-Canonical reduced words by the right-to-left reverse-sorting procedure.
+Canonical reduced words, read off the window one position at a time.
 
 Generators are written ``s_k``: for k >= 1, right multiplication swaps the
 window entries at positions k, k+1; in type B, ``s_0`` flips the sign of the
 first entry.  The canonical word of an element factors as
-``[r_m][r_{m-1}]...[r_1]`` (m = n-1 in type A, m = n in type B) where stage
-``r_i`` moves the correct entry into position i+1 (type A) or i (type B),
-never touching the already-settled suffix.  Factor ``r_i`` always lies in a
-small coset section: a contiguous ascending run ending at the stage index,
-optionally (type B) preceded by a descending run into ``s_0``.
+``[r_m][r_{m-1}]...[r_1]`` (m = n-1 in type A, m = n in type B), the word
+that reverse-sorts the identity into the element: stage ``r_i`` settles one
+position and never touches the settled suffix.  Each stage factor is read
+off one position of the window (0-based), with j the number of smaller
+magnitudes to its left:
+
+* type A, position i >= 1: the stage-i factor is ``s_{j+1} ... s_i``;
+* type B, position i >= 0: the stage-(i+1) factor is ``s_{j+1} ... s_i``
+  for a positive entry and ``s_j ... s_1 s_0 s_1 ... s_i`` for a negative
+  one.
+
+So a factor has as many letters as there are inversions (inv, resp.
+inv_b) ending at its position.  It lies in a small coset section: a
+contiguous ascending run ending at the stage index, optionally (type B)
+preceded by a descending run into ``s_0``.
 
 >>> str(canonical_word_a((4, 1, 5, 2, 3)))
 '[s3 s4][s2 s3][][s1]'
@@ -42,6 +52,8 @@ def evaluate_word(letters: Sequence[int], kind: str, n: int) -> Window:
     >>> evaluate_word((0,), "B", 2)
     (-1, 2)
     """
+    if kind not in ("A", "B"):
+        raise ValueError(f"unknown word type {kind!r}")
     lo = 0 if kind == "B" else 1
     w = list(range(1, n + 1))
     for k in letters:
@@ -89,58 +101,41 @@ class CanonicalWord:
         return word_to_text(self)
 
 
+def _factors(w: Window) -> tuple[Letters, ...]:
+    # one factor per position, left to right, by the rule above: position i
+    # holds type B's stage i+1 and, in a permutation, type A's stage i with
+    # the same letters.  `seen` has bit |v| for each magnitude passed.
+    factors = []
+    seen = 0
+    for i, v in enumerate(w):
+        a = abs(v)
+        j = (seen & (1 << a) - 1).bit_count()
+        seen |= 1 << a
+        factors.append(tuple(range(j + 1, i + 1)) if v > 0
+                       else tuple(range(j, 0, -1)) + tuple(range(i + 1)))
+    return tuple(factors)
+
+
 def canonical_word_a(p: Sequence[int]) -> CanonicalWord:
     """
-    Reverse-sort the identity into p, recording one factor per stage.
-
-    Stage i (i = n-1 .. 1) moves the value p_{i+1} right into position i+1
-    with the ascending run s_j s_{j+1} .. s_i.  The concatenated word has
-    exactly inv(p) letters.
+    The type-A canonical word: inv(p) letters, one factor per position i >= 1.
 
     >>> canonical_word_a((4, 1, 5, 2, 3)).factors
     ((3, 4), (2, 3), (), (1,))
     """
     p = validate_permutation(p)
-    n = len(p)
-    w = list(range(1, n + 1))
-    pos = {v: i for i, v in enumerate(w)}
-    factors = []
-    for i in range(n - 1, 0, -1):              # 0-based target position i
-        v = p[i]
-        j = pos[v]
-        factors.append(tuple(range(j + 1, i + 1)))
-        if j < i:
-            for u in w[j + 1:i + 1]:
-                pos[u] -= 1
-            w[j:i + 1] = w[j + 1:i + 1] + [v]
-            pos[v] = i
-    return CanonicalWord("A", n, tuple(factors))
+    return CanonicalWord("A", len(p), _factors(p)[:0:-1])
 
 
 def canonical_word_b(s: Sequence[int]) -> CanonicalWord:
     """
-    Type-B reverse sorting: a negative target is walked to the front,
-    sign-flipped with s_0, then walked back out to its position.
+    The type-B canonical word: inv_b(s) letters, one factor per position.
 
     >>> canonical_word_b((4, 1, -5, 2, -3)).factors
     ((2, 1, 0, 1, 2, 3, 4), (2, 3), (2, 1, 0, 1, 2), (1,), ())
     """
     s = validate_signed(s)
-    n = len(s)
-    w = list(range(1, n + 1))
-    factors = []
-    for i in range(n - 1, -1, -1):             # 0-based target position i
-        v = s[i]
-        a = abs(v)
-        j = w.index(a)                         # unset prefix stays positive
-        if v > 0:
-            letters: Letters = tuple(range(j + 1, i + 1))
-            w[j:i + 1] = w[j + 1:i + 1] + [a]
-        else:
-            letters = tuple(range(j, 0, -1)) + (0,) + tuple(range(1, i + 1))
-            w[0:i + 1] = [u for u in w[:i + 1] if u != a] + [v]
-        factors.append(letters)
-    return CanonicalWord("B", n, tuple(factors))
+    return CanonicalWord("B", len(s), _factors(s)[::-1])
 
 
 def canonical_word(window: Sequence[int], kind: str) -> CanonicalWord:

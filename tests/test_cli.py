@@ -1,3 +1,4 @@
+import argparse
 import csv
 import hashlib
 import io
@@ -168,6 +169,38 @@ def test_poly_refuses_a_path_it_would_not_read(capsys):
     assert exc.value.code == 2
     assert capsys.readouterr() == (
         "", "error: poly --path is read by --which per-path only, not by --which trivariate\n")
+
+
+@pytest.mark.parametrize("argv, read", [
+    (["poly", "--which", "per-path", "--path", "NES"], {"--which", "--path", "--group"}),
+    (["stats", "--elem", "2,1"], {"--elem"}),
+    (["path", "--path", "NES"], {"--path"}),
+])
+def test_an_option_its_mode_would_not_read_is_refused(capsys, argv, read):
+    # every option of the verb is either read in this mode or refused, so an
+    # option added later fails here until it is classified
+    verbs = next(a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction))
+    unread = [a for a in verbs.choices[argv[0]]._actions
+              if a.option_strings and a.dest != "help"
+              and a.option_strings[0] not in read | {"--format", "--out"}]
+    assert unread
+    for action in unread:
+        option = action.option_strings[0]
+        value = [] if action.nargs == 0 else [action.choices[-1] if action.choices else "5"]
+        with pytest.raises(SystemExit) as exc:
+            main([*argv, option, *value])
+        assert exc.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+        assert f" {option} " in err
+
+
+def test_stats_and_poly_keep_their_defaults(capsys):
+    # stats --n without --group sweeps S_n; poly without --n is at n = 0
+    assert run_cli(capsys, "stats", "--n", "3") == \
+        run_cli(capsys, "stats", "--group", "S", "--n", "3")
+    assert run_cli(capsys, "poly", "--which", "trivariate") == (0, "1\n")
 
 
 def test_readme_cli_commands_parse():

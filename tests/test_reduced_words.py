@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from coxdrops import perm_core as pc
 from coxdrops.reduced_words import (CanonicalWord, canonical_word_a,
@@ -41,6 +43,8 @@ def test_evaluate_word():
         evaluate_word((0,), "A", 3)
     with pytest.raises(ValueError):
         evaluate_word((5,), "B", 3)
+    with pytest.raises(ValueError, match="^unknown word type 'S'$"):
+        evaluate_word((1,), "S", 2)
 
 
 def test_ird_and_ascents():
@@ -164,6 +168,23 @@ def test_word_invariants_b_full_scale(groups):
     for n in (5, 6):
         for s in groups["B"](n):
             _check_word_b(s)
+
+
+# past the exhaustive sizes the same invariants still fix the word: stage
+# i's section has i+1 members in type A and 2i in type B, and the products
+# of the section sizes are n! and 2^n n!
+@given(st.integers(9, 30).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_word_invariants_a_large_n(p):
+    _check_word_a(tuple(p))
+
+
+@given(st.integers(9, 30).flatmap(
+    lambda n: st.tuples(st.permutations(range(1, n + 1)),
+                        st.lists(st.sampled_from((1, -1)), min_size=n,
+                                 max_size=n))))
+def test_word_invariants_b_large_n(perm_signs):
+    perm, signs = perm_signs
+    _check_word_b(tuple(v * e for v, e in zip(perm, signs)))
 
 
 def test_factor_access_bounds():
