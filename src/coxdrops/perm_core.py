@@ -409,9 +409,11 @@ def sweep(kind: str, n: int, hook: Callable[[Window], Hashable],
     A hook marked with :func:`block_additive` for this group is counted a
     block at a time, walking the group by context: the unused values of a
     block's last positions and, in A_n and D_n, the parity they must have.
-    The first block of a context builds its table of key differences; every
-    other block with that context is one hook call per first suffix value,
-    and each distinct key so found is shifted by the table once.  Workers
+    The first block of a context builds its table of key differences, one
+    row per first suffix value.  Every other block is one hook call on the
+    first row; cut again before the prefix's last entry, its key on another
+    row is offset by an amount set by that entry alone, one call per row
+    and entry.  Each distinct key is shifted by the table once.  Workers
     split such a hook by context, one share each, so each table is built
     once.  Any other hook, and a marked hook over a group its mark leaves
     out, is called on every element, and workers split it into rank ranges;
@@ -468,6 +470,8 @@ def block_additive(hook: Callable[[Window], Hashable] | None = None, *,
     group that share a prefix of at least two positions and the first entry
     after it.  The difference of their keys (exponents subtracted, parities
     added mod 2) must not depend on that prefix, only on the two suffixes.
+    It needs two prefix positions, as drops_d reads the first two entries;
+    :func:`sweep` also cuts before a prefix's last entry, so needs three.
     Sums of per-position terms, adjacent-pair terms and inversion counts
     have this property, in every group: inversions between the prefix and
     the suffix change with the suffix only through its negated entries, and
@@ -489,10 +493,11 @@ def block_additive(hook: Callable[[Window], Hashable] | None = None, *,
     return mark if hook is None else mark(hook)
 
 
-# Suffix length of a table block: the most positions whose tables pay for
-# themselves at n = 9 (S, A) and n = 7 (B, D), where building a table for
-# every unused set costs about as many hook calls as the blocks do.
-_TABLE_SUFFIX = {"S": 5, "A": 5, "B": 4, "D": 4}
+# Suffix length of a table block, capped at n - 3 (see block_additive).  A
+# table costs a call per suffix and a prefix one call: 4 was the fastest
+# suffix measured at S_8 and S_9 (S_9: 124 ms against 286 ms for 3), within
+# 2 % of 3 at B_7 and D_7, and the cap, 3, is the fastest at B_6 and D_6.
+_TABLE_SUFFIX = 4
 
 # A key packs into one int, 15 bits per exponent and the parity above them.
 # Adding packed differences adds exponents; the parity field adds too, and
@@ -523,11 +528,12 @@ def _count_blocks(kind: str, n: int, hook: Callable[[Window], Hashable],
     # shares.  A context is m unused values and, in A_n and D_n, the parity
     # the suffix must have; every prefix over the other values that leaves
     # that parity takes the same suffixes.  The first prefix's block builds
-    # one row per first suffix value (see _delta_table); every other prefix
-    # costs one hook call on prefix + reference per row, and each distinct
-    # key a row gathers is shifted by each of its differences once.  Groups
-    # too small for a suffix of two after a prefix of two go element-wise.
-    m = min(_TABLE_SUFFIX[kind], n - 2)
+    # one row per first suffix value (see _delta_table).  Every other prefix
+    # costs one call on the first row, and each other row one call per last
+    # entry of a prefix (see sweep); each distinct key a row gathers is
+    # shifted by each of its differences once.  Groups too small for a
+    # suffix of two after a prefix of three go element-wise.
+    m = min(_TABLE_SUFFIX, n - 3)
     if m < 2:
         return _count(kind, n, hook, share, shares)
     signed = kind in ("B", "D")
@@ -542,9 +548,23 @@ def _count_blocks(kind: str, n: int, hook: Callable[[Window], Hashable],
         cross = sum(v > r for v in used for r in rem) if kind == "A" else 0
         first, *prefixes = itertools.compress(itertools.permutations(
             _choices(used, signed), n - m), outer[(parity + cross) & 1])
-        for ref, bases, shifts in _delta_table(hook, first, itertools.compress(
-                itertools.permutations(_choices(list(rem), signed), m), inner[parity])):
-            bases.update(map(_pack, map(hook, [p + ref for p in prefixes])))
+        rows = _delta_table(hook, first, itertools.compress(
+            itertools.permutations(_choices(list(rem), signed), m), inner[parity]))
+        (ref, key0, _), *others = rows
+        # by the prefix's last entry: the keys of prefix + ref, counted, and
+        # each row's offset from them
+        lasts = {first[-1]: (Counter({key0: 1}), [_diff(key, key0) for _, key, _ in rows])}
+        for p in prefixes:
+            key = _pack(hook(p + ref))
+            if p[-1] not in lasts:
+                lasts[p[-1]] = (Counter(), [0] + [_diff(_pack(hook(p + r)), key)
+                                                  for r, _, _ in others])
+            lasts[p[-1]][0][key] += 1
+        for i, (_, _, shifts) in enumerate(rows):
+            bases: Counter = Counter()
+            for counted, offsets in lasts.values():
+                for k, c in counted.items():
+                    bases[k + offsets[i]] += c
             for k0, c0 in bases.items():
                 for d, c in shifts:
                     packed[k0 + d] += c0 * c
@@ -554,16 +574,21 @@ def _count_blocks(kind: str, n: int, hook: Callable[[Window], Hashable],
     return counter
 
 
-def _delta_table(hook, prefix: Window, block) -> list[tuple[Window, Counter, list]]:
+def _diff(key: int, base: int) -> int:
+    # key - base, a parity flip as a one: base + it is key, parity mod 2
+    return (key & _LOW) - (base & _LOW) + ((key ^ base) & _PARITY)
+
+
+def _delta_table(hook, prefix: Window, block) -> list[tuple[Window, int, list]]:
     # one row per first suffix value u: a reference suffix starting with u,
-    # a counter holding the packed key of prefix + reference, and the
-    # distinct packed key differences from it of the suffixes starting with
-    # u (0 included; a parity flip adds one to the parity field), counted
+    # the packed key of prefix + reference, and the distinct packed key
+    # differences from it of the suffixes starting with u (0 included),
+    # counted
     firsts: dict[int, tuple] = {}
     for suffix in block:
         key = _pack(hook(prefix + suffix))
         if suffix[0] not in firsts:
-            firsts[suffix[0]] = (suffix, key, Counter(), Counter({key: 1}))
-        ref, base, diffs, _ = firsts[suffix[0]]
-        diffs[(key & _LOW) - (base & _LOW) + ((key ^ base) & _PARITY)] += 1
-    return [(ref, bases, list(diffs.items())) for ref, _, diffs, bases in firsts.values()]
+            firsts[suffix[0]] = (suffix, key, Counter())
+        ref, base, diffs = firsts[suffix[0]]
+        diffs[_diff(key, base)] += 1
+    return [(ref, base, list(diffs.items())) for ref, base, diffs in firsts.values()]

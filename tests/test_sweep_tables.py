@@ -115,10 +115,11 @@ def test_signed_keys_equal_their_definitions_past_the_exhaustive_range(s):
 
 
 def test_each_context_builds_its_table_from_a_counted_block():
-    # S_8 with 5-position tables: 56 unused sets, each counted element-wise
-    # over its first block (5! calls), and the other 280 of the 8*7*6
-    # blocks at one call per first suffix value.  Split into shares by
-    # context, each table is still built once.
+    # S_8 with 4-position tables: 70 unused sets, each counted element-wise
+    # over its first block (4! calls), each of the other 23 prefixes at one
+    # call on the first row, and each of the other 3 rows at one call for
+    # each of the 3 last prefix entries that the first prefix leaves open.
+    # Split into shares by context, each table is still built once.
     calls = 0
 
     @pc.block_additive
@@ -129,31 +130,71 @@ def test_each_context_builds_its_table_from_a_counted_block():
 
     want = pc._count("S", 8, verify.drops_key_s, 0, 1)
     assert pc.sweep("S", 8, counted) == want
-    assert calls == 56 * 120 + 280 * 5 == 8120
+    assert calls == 70 * (24 + 23 + 3 * 3) == 3920
     for shares in (2, 3):
         calls = 0
         assert sum((pc._count_blocks("S", 8, counted, i, shares)
                     for i in range(shares)), Counter()) == want
-        assert calls == 8120
+        assert calls == 3920
 
 
-def counted_mad_key():
-    # verify._mad_key under its own mark, counting its calls
+def counted_hook(hook):
+    # a hook under the mark of `hook`, counting its calls
     calls = Counter()
 
-    @pc.block_additive(groups=verify._mad_key.table_groups)
+    @pc.block_additive(groups=hook.table_groups)
     def counted(w):
         calls["hook"] += 1
-        return verify._mad_key(w)
+        return hook(w)
 
     return counted, calls
 
 
+def counted_mad_key():
+    # verify._mad_key under its own mark, counting its calls
+    return counted_hook(verify._mad_key)
+
+
+@pytest.mark.parametrize("kind, n, hook, calls", [
+    # 126 contexts: a 4! block, 119 other prefixes, and 4 open last
+    # entries times 3 other rows; 126 * (24 + 119 + 4 * 3)
+    ("S", 9, verify.drops_key_s, 19530),
+    # 35 contexts: a 2^4 4! block, 47 other prefixes of 3 signed entries,
+    # and 5 open last entries times 7 other rows; 35 * (384 + 47 + 5 * 7)
+    ("B", 7, verify.drops_key_b, 16310),
+    # 35 unused sets times 2 parities, each half the B_7 block and
+    # prefixes; 70 * (192 + 23 + 5 * 7)
+    ("D", 7, verify.drops_key_d, 17500),
+])
+def test_hook_calls_at_the_benchmark_sizes(kind, n, hook, calls):
+    # the parallel-sweep sizes, in one share and split in two
+    counted, seen = counted_hook(hook)
+    for shares in (1, 2):
+        seen.clear()
+        for i in range(shares):
+            pc._count_blocks(kind, n, counted, i, shares)
+        assert seen["hook"] == calls, shares
+
+
+@pytest.mark.parametrize("kind, hook", [("S", verify.drops_key_s), ("A", verify.drops_key_s),
+                                        ("B", verify.drops_key_b), ("D", verify.drops_key_d)])
+def test_tables_start_at_n_5(kind, hook, monkeypatch):
+    # a table needs a suffix of two after a prefix of three, so n = 4 is
+    # counted one call per element and n = 5 is the first group of tables
+    count, fallbacks = pc._count, []
+    monkeypatch.setattr(pc, "_count", lambda *args: fallbacks.append(args) or count(*args))
+    counted, calls = counted_hook(hook)
+    assert pc.sweep(kind, 4, counted) == count(kind, 4, hook, 0, 1)
+    assert calls["hook"] == pc.group_order(kind, 4) and len(fallbacks) == 1
+    assert pc.sweep(kind, 5, counted) == count(kind, 5, hook, 0, 1)
+    assert len(fallbacks) == 1
+
+
 def test_the_mad_key_is_counted_by_tables_on_s8():
-    # the same 56 * 120 + 280 * 5 calls as any table hook, not 8! = 40,320
+    # the same 70 * (24 + 23 + 3 * 3) calls as any table hook, not 8! = 40,320
     hook, calls = counted_mad_key()
     assert pc.sweep("S", 8, hook) == pc._count("S", 8, verify._mad_key, 0, 1)
-    assert calls["hook"] == 8120
+    assert calls["hook"] == 3920
 
 
 @pytest.mark.parametrize("kind", ["B", "D"])
@@ -175,14 +216,15 @@ def test_table_path_equals_the_element_wise_count(name):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("kind, hook", [("B", verify.drops_key_b), ("D", verify.drops_key_d),
-                                        ("B", verify._zdrops_key)])
+                                        ("B", verify._zdrops_key), ("S", verify.drops_key_s)])
 def test_sweeps_at_the_benchmark_sizes_equal_the_element_wise_count(kind, hook, monkeypatch):
-    # thm-typeB and thm-typeD at --n 7, the parallel-sweep sizes, and
-    # lemma7.2 at --n 7: past the groups above
+    # thm-typeB and thm-typeD at --n 7 and cor1.4 at --n 9, the
+    # parallel-sweep sizes, and lemma7.2 at --n 7: past the groups above
     monkeypatch.setattr(pc.os, "cpu_count", lambda: 2)
-    want = pc._count(kind, 7, hook, 0, 1)
+    n = 9 if kind == "S" else 7
+    want = pc._count(kind, n, hook, 0, 1)
     for threads in (1, 2):
-        assert pc.sweep(kind, 7, hook, threads) == want, threads
+        assert pc.sweep(kind, n, hook, threads) == want, threads
 
 
 def test_a_wrong_mark_is_caught():
@@ -198,7 +240,7 @@ def test_a_wrong_mark_is_caught():
 
 def contexts(kind, n):
     # unused sets of a table block, times the two suffix parities in A and D
-    return math.comb(n, min(pc._TABLE_SUFFIX[kind], n - 2)) * (2 if kind in "AD" else 1)
+    return math.comb(n, min(pc._TABLE_SUFFIX, n - 3)) * (2 if kind in "AD" else 1)
 
 
 @pytest.mark.parametrize("name", sorted(MARKED))
