@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import itertools
 import json
 import math
 import os
@@ -39,15 +40,21 @@ def _die(message: str) -> "SystemExit":
     return SystemExit(2)
 
 
-def _within_budget(what: str, size: int, unit: str, hint: str = "") -> None:
-    if size > SWEEP_BUDGET:
-        raise _die(f"{what} ({size:,} {unit}s), over the "
+def _within_budget(what: str, size, n: int, unit: str, hint: str = "") -> None:
+    # size(k) grows with k, so past twice the first k >= 2 (where D_k starts)
+    # over the budget the size there is a lower bound: size(n) itself may
+    # take seconds (10^6!), pass int's digit limit or exhaust memory
+    first = next(k for k in itertools.count(2) if size(k) > SWEEP_BUDGET)
+    count = size(min(n, 2 * first))           # raises as ever on a bad n
+    if count > SWEEP_BUDGET:
+        bound = "at least " if n > 2 * first else ""
+        raise _die(f"{what} ({bound}{count:,} {unit}s), over the "
                    f"{SWEEP_BUDGET:,}-{unit} budget{hint}")
 
 
 def _check_budget(what: str, group: str, n: int, hint: str = "") -> None:
     _within_budget(f"{what} would sweep {group}_{n}",
-                   pc.group_order(group, n), "element", hint)
+                   lambda k: pc.group_order(group, k), n, "element", hint)
 
 
 def _refuse_unread(verb: str, args, names: tuple[str, ...], mode: str) -> None:
@@ -57,17 +64,18 @@ def _refuse_unread(verb: str, args, names: tuple[str, ...], mode: str) -> None:
             raise _die(f"{verb} --{name} is not read with {mode}")
 
 
+def _sink(out: str | None):
+    return open(out, "w") if out else contextlib.nullcontext(sys.stdout)
+
+
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text if text.endswith("\n") else text + "\n")
-    else:
-        print(text)
+    with _sink(out) as fh:
+        print(text, file=fh)
 
 
 def _emit_csv(header: list[str], rows, out: str | None) -> None:
     # rows are written as they are made, never held whole in memory
-    with open(out, "w") if out else contextlib.nullcontext(sys.stdout) as fh:
+    with _sink(out) as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
         writer.writerows(rows)
@@ -186,7 +194,7 @@ def _cmd_path(args) -> int:
     if args.format == "json":
         raise _die("path --n writes CSV; --format json applies to --path only")
     _within_budget(f"path would list the Motzkin paths of length {args.n}",
-                   motzkin_number(args.n), "path")
+                   motzkin_number, args.n, "path")
     _emit_csv(["path", "weight", "area", "max_height"],
               ([steps, path_weight(steps), area(steps), max_height(steps)]
                for steps in motzkin_paths(args.n)), args.out)
@@ -203,7 +211,7 @@ def _cmd_poly(args) -> int:
     n = 0 if args.n is None else args.n
     if which != "per-path":                   # sized by its subset-state steps
         _within_budget(f"poly --which {which} would run a transfer over {args.group}_{n}",
-                       gp.transitions(args.group, n), "transition")
+                       lambda k: gp.transitions(args.group, k), n, "transition")
     if which == "trivariate":
         poly = gp.signed_trivariate(n)
     elif which == "signed-drops":
@@ -228,10 +236,10 @@ def _cmd_poly(args) -> int:
 def _cmd_cfrac(args) -> int:
     # at length k the path transfer holds min(k, order - k) + 1 heights, each
     # a polynomial with at most C(k, 2) + 1 powers of q and k^2/4 + 1 of x
-    order = args.order
-    _within_budget(f"cfrac would fill the path transfer to order {order}",
-                   sum((min(k, order - k) + 1) * (k * (k - 1) // 2 + 1) * (k * k // 4 + 1)
-                       for k in range(order + 1)), "cell")
+    _within_budget(f"cfrac would fill the path transfer to order {args.order}",
+                   lambda order: sum((min(k, order - k) + 1) * (k * (k - 1) // 2 + 1)
+                                     * (k * k // 4 + 1) for k in range(order + 1)),
+                   args.order, "cell")
     series = gp.jfraction_convergent(args.order)
     if args.format == "json":
         _emit(json.dumps([{"n": k, "poly": series.coefficient(k).to_json_obj()}
@@ -264,7 +272,7 @@ def _cmd_verify(args) -> int:
         raise _die(f"--threads must be >= 0 (0 means all cores), got {args.threads}")
     threads = args.threads if args.threads else (os.cpu_count() or 1)
     ok = True                                  # each report is written as its part ends
-    with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+    with _sink(args.out) as fh:
         if args.format != "json":
             print(f"{'claim':<10} {'group':<5} {'n':>2} {'status':<6} "
                   f"{'count':>8} {'ms':>9}  witness", file=fh, flush=True)
@@ -284,10 +292,13 @@ def _cmd_match(args) -> int:
         # hasse_covers compares every pair on adjacent length levels; the
         # level sizes are the coefficients of prod [i]_q (S) or [2i]_q (B)
         step = 1 if args.group == "S" else 2
-        size = math.prod(map(gp.q_integer, range(step, step * args.n + 1, step)),
-                         start=gp.MultiPoly.one()).univariate("q")
+
+        def pairs(n):
+            size = math.prod(map(gp.q_integer, range(step, step * n + 1, step)),
+                             start=gp.MultiPoly.one()).univariate("q")
+            return sum(c * size.get(k + 1, 0) for k, c in size.items())
         _within_budget(f"match --hasse would compare {args.group}_{args.n} elements pairwise",
-                       sum(c * size.get(k + 1, 0) for k, c in size.items()), "pair")
+                       pairs, args.n, "pair")
     edges = build_matching(args.group, args.n)
     report = validate_matching(edges, args.group, args.n)
     if args.dot:

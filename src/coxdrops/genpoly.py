@@ -11,14 +11,16 @@ base-2^w digits are its coefficients, with w wide enough for any of them.
 
 from __future__ import annotations
 
+import itertools
 import json
+import math
 from collections import Counter
 from fractions import Fraction
 from typing import Sequence
 
 from . import perm_core as pc
 from .perm_core import _BITS, _unpack
-from .laguerre import STEPS_MOTZKIN, heights, is_valid_path
+from .laguerre import STEPS_MOTZKIN, _path_heights
 
 VARS = ("t", "p", "q", "x")
 Expo = tuple[int, int, int, int]
@@ -66,16 +68,7 @@ class MultiPoly:
     # -- ring operations ----------------------------------------------------
 
     def __add__(self, other: "MultiPoly") -> "MultiPoly":
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            v = out.get(e, 0) + c
-            if v:
-                out[e] = v
-            elif e in out:
-                del out[e]
-        res = MultiPoly()
-        res.terms = out
-        return res
+        return _sum_terms(itertools.chain(self.terms.items(), other.terms.items()))
 
     def __neg__(self) -> "MultiPoly":
         res = MultiPoly()
@@ -86,18 +79,9 @@ class MultiPoly:
         return self + (-other)
 
     def __mul__(self, other: "MultiPoly") -> "MultiPoly":
-        out: dict[Expo, int] = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = (e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3])
-                v = out.get(e, 0) + c1 * c2
-                if v:
-                    out[e] = v
-                elif e in out:
-                    del out[e]
-        res = MultiPoly()
-        res.terms = out
-        return res
+        return _sum_terms(
+            ((e1[0] + e2[0], e1[1] + e2[1], e1[2] + e2[2], e1[3] + e2[3]), c1 * c2)
+            for e1, c1 in self.terms.items() for e2, c2 in other.terms.items())
 
     def __pow__(self, k: int) -> "MultiPoly":
         if k < 0:
@@ -121,26 +105,13 @@ class MultiPoly:
 
     def substitute(self, **values: int) -> "MultiPoly":
         """Set some of t, p, q, x to integer values, e.g. ``f.substitute(p=1)``."""
-        idx = {v: i for i, v in enumerate(VARS)}
         for name in values:
-            if name not in idx:
+            if name not in VARS:
                 raise ValueError(f"unknown variable {name!r}")
-        out = MultiPoly()
-        for e, c in self.terms.items():
-            coeff = c
-            ee = list(e)
-            for name, val in values.items():
-                i = idx[name]
-                coeff *= val ** e[i]
-                ee[i] = 0
-            if coeff:
-                key = tuple(ee)
-                v = out.terms.get(key, 0) + coeff
-                if v:
-                    out.terms[key] = v
-                elif key in out.terms:
-                    del out.terms[key]
-        return out
+        return _sum_terms(
+            (tuple(0 if v in values else k for v, k in zip(VARS, e)),
+             c * math.prod(values[v] ** k for v, k in zip(VARS, e) if v in values))
+            for e, c in self.terms.items())
 
     def coefficient(self, t: int = 0, p: int = 0, q: int = 0, x: int = 0) -> int:
         return self.terms.get((t, p, q, x), 0)
@@ -198,12 +169,19 @@ def poly_from_counter(counts: Counter) -> MultiPoly:
     Build a polynomial from an accumulation Counter whose keys are signed
     monomials (a, b, c, d, s), each standing for (-1)^s t^a p^b q^c x^d.
     """
-    out = MultiPoly()
-    for key, c in counts.items():
-        e = key[:4]
-        out.terms[e] = out.terms.get(e, 0) + (-c if key[4] else c)
-    out.terms = {e: c for e, c in out.terms.items() if c}
-    return out
+    return _sum_terms((key[:4], -c if key[4] else c) for key, c in counts.items())
+
+
+def _sum_terms(pairs) -> MultiPoly:
+    # the one accumulator: (exponent tuple, coefficient) pairs added up and
+    # no zero kept; most sums cancel none, so only those that do are copied
+    out: dict[Expo, int] = {}
+    get = out.get
+    for e, c in pairs:
+        out[e] = get(e, 0) + c
+    res = MultiPoly()
+    res.terms = {e: c for e, c in out.items() if c} if 0 in out.values() else out
+    return res
 
 
 def q_integer(k: int) -> MultiPoly:
@@ -501,10 +479,11 @@ def per_path_enumerator(steps: str) -> MultiPoly:
     >>> per_path_enumerator("NES").pretty()
     '2*q^2*x^2 + q^3*x^2'
     """
-    if not is_valid_path(steps, STEPS_MOTZKIN):
+    hs = _path_heights(steps, STEPS_MOTZKIN)
+    if hs is None:
         raise ValueError(f"{steps!r} is not a Motzkin path")
     out = MultiPoly.one()
-    for s, h in zip(steps, heights(steps)):
+    for s, h in zip(steps, hs):
         out = out * _step_weight(s, h)
     return out
 

@@ -45,24 +45,27 @@ def heights(steps: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+def _path_heights(steps: str, alphabet: str = STEPS_2MOTZKIN) -> tuple[int, ...] | None:
+    # the pre-step heights of a valid path, else None.  A path starts at 0,
+    # so known letters, no negative pre-step height and a final height of 0
+    # (as many S steps as N steps) make it valid.
+    hs = heights(steps)
+    if (all(s in alphabet for s in steps) and min(hs, default=0) >= 0
+            and steps.count("N") == steps.count("S")):
+        return hs
+    return None
+
+
 def is_valid_path(steps: str, alphabet: str = STEPS_2MOTZKIN) -> bool:
     """Nonnegative heights throughout, final height zero, known letters."""
-    if any(s not in alphabet for s in steps):
-        return False
-    h = 0
-    for s in steps:
-        if s == "N":
-            h += 1
-        elif s == "S":
-            h -= 1
-            if h < 0:
-                return False
-    return h == 0
+    return _path_heights(steps, alphabet) is not None
 
 
-def _require_path(steps: str, alphabet: str = STEPS_2MOTZKIN) -> None:
-    if not is_valid_path(steps, alphabet):
+def _require_path(steps: str, alphabet: str = STEPS_2MOTZKIN) -> tuple[int, ...]:
+    hs = _path_heights(steps, alphabet)
+    if hs is None:
         raise ValueError(f"{steps!r} is not a valid path over {alphabet!r}")
+    return hs
 
 
 def area(steps: str) -> int:
@@ -73,21 +76,14 @@ def area(steps: str) -> int:
     >>> area("NNSS")
     4
     """
-    _require_path(steps)
-    return sum(heights(steps))
+    return sum(_require_path(steps))
 
 
 def max_height(steps: str) -> int:
     """Largest height reached after any step."""
-    _require_path(steps)
-    best = h = 0
-    for s in steps:
-        if s == "N":
-            h += 1
-            best = max(best, h)
-        elif s == "S":
-            h -= 1
-    return best
+    # on a valid path the after-step heights are the pre-step ones past the
+    # first, which is 0, and a final 0
+    return max(_require_path(steps), default=0)
 
 
 def motzkin_paths(n: int) -> Iterator[str]:
@@ -139,11 +135,10 @@ class LaguerreHistory:
     labels: tuple[int, ...]
 
     def is_valid(self) -> bool:
-        if len(self.steps) != len(self.labels):
+        hs = _path_heights(self.steps)
+        if hs is None or len(self.steps) != len(self.labels):
             return False
-        if not is_valid_path(self.steps):
-            return False
-        for s, h, p in zip(self.steps, heights(self.steps), self.labels):
+        for s, h, p in zip(self.steps, hs, self.labels):
             cap = h if s in "NE" else h - 1
             if not 0 <= p <= cap:
                 return False
@@ -321,8 +316,7 @@ def path_weight(steps: str) -> int:
     >>> path_weight("NES")
     3
     """
-    _require_path(steps, STEPS_MOTZKIN)
     w = 1
-    for s, h in zip(steps, heights(steps)):
+    for s, h in zip(steps, _require_path(steps, STEPS_MOTZKIN)):
         w *= h + 1 if s == "N" else h if s == "S" else 2 * h + 1
     return w

@@ -9,6 +9,7 @@ import re
 import shlex
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -640,6 +641,31 @@ def test_poly_and_path_run_at_the_budget_edge(capsys, monkeypatch):
     assert main(["poly", "--which", "trivariate", "--n", "16"]) == 0
     assert main(["poly", "--which", "signed-drops", "--group", "D", "--n", "14"]) == 0
     assert main(["path", "--n", "19"]) == 0
+
+
+@pytest.mark.parametrize("argv", [
+    ["stats", "--n", "1000000"],
+    ["verify", "thm1.3", "--n", "1000000"],
+    ["match", "--n", "1000000"],
+    ["path", "--n", "100000"],
+    ["cfrac", "--order", "30000000"],
+    ["poly", "--which", "drops", "--n", "100000000000"],
+])
+def test_an_absurd_size_is_refused_at_once(capsys, monkeypatch, argv):
+    # past twice the first size over the budget, that size stands in for
+    # the exact one, which would take seconds or all memory to compute
+    for owner, name in [(cli.pc, "iter_group"), (bruhat, "iter_group"),
+                        (cli.gp, "_transfer"), (cli, "motzkin_paths"),
+                        (cli.gp, "jfraction_convergent"), (cli, "run_claim")]:
+        monkeypatch.setattr(owner, name, _no_sweep)
+    t0 = time.perf_counter()
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert time.perf_counter() - t0 < 1.0
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "(at least " in err
+    assert f"over the {cli.SWEEP_BUDGET:,}-" in err and "budget" in err
 
 
 def test_poly_drops_mad_visits_no_element(capsys, monkeypatch):

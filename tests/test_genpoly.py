@@ -75,6 +75,39 @@ def test_ring_laws(a, b, c):
     assert a - a == MultiPoly.zero()
 
 
+exponents = st.tuples(*[st.integers(0, 2)] * 4)
+sparse_terms = st.dictionaries(exponents, st.integers(-3, 3), max_size=6)
+
+
+@given(sparse_terms, sparse_terms,
+       st.dictionaries(st.sampled_from("tpqx"), st.integers(-2, 2)),
+       st.dictionaries(st.tuples(exponents, st.integers(0, 1)), st.integers(-3, 3),
+                       max_size=6))
+@settings(max_examples=80)
+def test_arithmetic_equals_a_naive_counter(f, g, values, signed):
+    # coefficients in -3..3 so that terms cancel; a result keeps no zero
+    total, diff, prod, sub, net = Counter(), Counter(), Counter(), Counter(), Counter()
+    for e, c in f.items():
+        total[e] += c
+        diff[e] += c
+        sub[tuple(0 if v in values else k for v, k in zip("tpqx", e))] += c * math.prod(
+            values[v] ** k for v, k in zip("tpqx", e) if v in values)
+        for e2, c2 in g.items():
+            prod[tuple(a + b for a, b in zip(e, e2))] += c * c2
+    for e, c in g.items():
+        total[e] += c
+        diff[e] -= c
+    for (e, sign), c in signed.items():
+        net[e] += -c if sign else c
+    a, b = MultiPoly(f), MultiPoly(g)
+    for got, want in [(a + b, total), (a - b, diff), (a * b, prod),
+                      (a.substitute(**values), sub),
+                      (poly_from_counter(Counter({(*e, s): c for (e, s), c in signed.items()})),
+                       net)]:
+        assert got.terms == {e: c for e, c in want.items() if c}
+        assert 0 not in got.terms.values()
+
+
 @given(small_polys, st.integers(0, 4))
 @settings(max_examples=40)
 def test_power_is_iterated_product(a, k):

@@ -9,11 +9,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from coxdrops import perm_core as pc
+from coxdrops.genpoly import per_path_enumerator
 from coxdrops.involutions import fixed_points, involution_a
 from coxdrops.laguerre import (LaguerreHistory, _decode, _history,
                                _round_trip, area, from_history,
-                               fz_history, heights, max_height, motzkin_paths,
-                               motzkin_shape, nest, path_weight)
+                               fz_history, heights, is_valid_path, max_height,
+                               motzkin_paths, motzkin_shape, nest, path_weight)
 from oracles import (cyclic_classify, laguerre_histories, nest_at,
                      two_motzkin_paths)
 
@@ -141,6 +142,40 @@ def test_from_history_rejects_histories_that_are_not_restricted(steps, labels):
         from_history(steps, labels)
 
 
+def _agrees_with_is_valid(h):
+    # None exactly where is_valid() is false, and otherwise the area and
+    # the one window whose history is h
+    got = _decode(h.steps, h.labels)
+    if not h.is_valid():
+        return got is None
+    return (got is not None and got[0] == sum(heights(h.steps))
+            and fz_history(got[1]) == h)
+
+
+def test_decode_agrees_with_is_valid_on_s0_to_s6(groups):
+    for n in range(7):
+        for w in groups["S"](n):
+            h = fz_history(w)
+            assert _agrees_with_is_valid(h), w
+            assert _decode(h.steps, h.labels) == (sum(heights(h.steps)), w)
+
+
+@pytest.mark.parametrize("steps, labels", [
+    ("S", (0,)), ("N", (0,)), ("NS", (0, 1)), ("NS", (1, 0)), ("ND", (0, 0)),
+    ("NDS", (0, 0, 0)), ("NDS", (0, 1, 0)), ("NXS", (0, 0, 0)), ("NS", (0,)),
+    ("NE", (0, -1)), ("SN", (0, 0)),
+])
+def test_decode_agrees_with_is_valid_on_hand_made_histories(steps, labels):
+    assert _agrees_with_is_valid(LaguerreHistory(steps, labels))
+
+
+def test_decode_agrees_with_is_valid_on_short_words():
+    for n in range(4):
+        for steps in itertools.product("NSEDX", repeat=n):
+            for labels in itertools.product(range(-1, 3), repeat=n):
+                assert _agrees_with_is_valid(LaguerreHistory("".join(steps), labels))
+
+
 # ---------------------------------------------------------------------------
 # the fused round trip against the encoder and decoder it fuses
 # ---------------------------------------------------------------------------
@@ -213,6 +248,68 @@ def test_invalid_paths_rejected():
         area("NQ")
     with pytest.raises(ValueError):
         path_weight("NEDS")                    # D is not a Motzkin step
+
+
+def _walk(steps):
+    # the definition, from prefix counts alone: the height before each step
+    # and the final height
+    prefix = [steps[:i].count("N") - steps[:i].count("S") for i in range(len(steps) + 1)]
+    return prefix[:-1], prefix[-1]
+
+
+def _is_path(steps, alphabet):
+    # known letters, no height below 0 after any prefix, and back to 0
+    pre, final = _walk(steps)
+    return set(steps) <= set(alphabet) and min(pre + [final]) >= 0 and final == 0
+
+
+def _raises(f, steps):
+    try:
+        return False, f(steps)
+    except ValueError as exc:
+        return True, str(exc)
+
+
+def _path_enumerator(steps):
+    # the product over steps at pre-step height h of x^h q^h [h+1]_q (N),
+    # x^h q^h [h]_q (S) and x^h q^h ([h]_q + [h+1]_q) (E), as a
+    # (q, x) -> coefficient dict
+    out = {(0, 0): 1}
+    for s, h in zip(steps, _walk(steps)[0]):
+        powers = {"N": range(h + 1), "S": range(h)}.get(s, [*range(h), *range(h + 1)])
+        nxt = Counter()
+        for (q, x), c in out.items():
+            for j in powers:
+                nxt[q + h + j, x + h] += c
+        out = nxt
+    return {(0, 0, q, x): c for (q, x), c in out.items() if c}
+
+
+def test_path_walk_agrees_with_prefix_heights_on_every_short_word():
+    for n in range(7):
+        for word in itertools.product("NSEDX", repeat=n):
+            steps = "".join(word)
+            pre, _ = _walk(steps)
+            valid, motzkin = _is_path(steps, "NSED"), _is_path(steps, "NSE")
+            assert is_valid_path(steps) == valid, steps
+            assert is_valid_path(steps, "NSE") == motzkin, steps
+            bad = f"{steps!r} is not a valid path over "
+            assert _raises(area, steps) == (
+                (False, sum(pre)) if valid else (True, bad + "'NSED'"))
+            assert _raises(max_height, steps) == (
+                (False, max(pre[1:] + [0])) if valid else (True, bad + "'NSED'"))
+            weight = math.prod(h + 1 if s == "N" else h if s == "S" else 2 * h + 1
+                               for s, h in zip(steps, pre))
+            assert _raises(path_weight, steps) == (
+                (False, weight) if motzkin else (True, bad + "'NSE'"))
+            got = _raises(per_path_enumerator, steps)
+            if motzkin:
+                assert got[1].terms == _path_enumerator(steps), steps
+            else:
+                assert got == (True, f"{steps!r} is not a Motzkin path")
+            zeros = (0,) * n
+            assert LaguerreHistory(steps, zeros).is_valid() == (
+                valid and all(h >= 1 for s, h in zip(steps, pre) if s in "SD")), steps
 
 
 def test_motzkin_counts():

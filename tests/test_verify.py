@@ -1,6 +1,5 @@
 import ast
 import dataclasses
-import itertools
 import json
 import math
 import os
@@ -13,8 +12,7 @@ import pytest
 
 from coxdrops.involutions import (_swap_magnitudes, _swap_positions, _toggle_a,
                                   _toggle_b)
-from coxdrops.laguerre import (LaguerreHistory, _decode, fz_history, heights,
-                               motzkin_shape)
+from coxdrops.laguerre import motzkin_shape
 from coxdrops.perm_core import format_window, iter_group, pool_size, sweep
 from coxdrops.verify import CLAIMS, plan, run_claim
 
@@ -467,40 +465,6 @@ def test_fz_walks_each_element_once(monkeypatch, n):
 # ---------------------------------------------------------------------------
 # the fz claim: one decoding walk checks, sums and inverts each history
 # ---------------------------------------------------------------------------
-
-def _agrees_with_is_valid(h):
-    # None exactly where is_valid() is false, and otherwise the area and
-    # the one window whose history is h
-    got = _decode(h.steps, h.labels)
-    if not h.is_valid():
-        return got is None
-    return (got is not None and got[0] == sum(heights(h.steps))
-            and fz_history(got[1]) == h)
-
-
-def test_restricted_area_agrees_with_is_valid_on_s0_to_s6(groups):
-    for n in range(7):
-        for w in groups["S"](n):
-            h = fz_history(w)
-            assert _agrees_with_is_valid(h), w
-            assert _decode(h.steps, h.labels) == (sum(heights(h.steps)), w)
-
-
-@pytest.mark.parametrize("steps, labels", [
-    ("S", (0,)), ("N", (0,)), ("NS", (0, 1)), ("NS", (1, 0)), ("ND", (0, 0)),
-    ("NDS", (0, 0, 0)), ("NDS", (0, 1, 0)), ("NXS", (0, 0, 0)), ("NS", (0,)),
-    ("NE", (0, -1)), ("SN", (0, 0)),
-])
-def test_restricted_area_agrees_with_is_valid_on_hand_made_histories(steps, labels):
-    assert _agrees_with_is_valid(LaguerreHistory(steps, labels))
-
-
-def test_restricted_area_agrees_with_is_valid_on_short_words():
-    for n in range(4):
-        for steps in itertools.product("NSEDX", repeat=n):
-            for labels in itertools.product(range(-1, 3), repeat=n):
-                assert _agrees_with_is_valid(LaguerreHistory("".join(steps), labels))
-
 
 def test_fz_reports_a_history_that_is_not_restricted(monkeypatch):
     # the victim takes the round trip of (1, 1), whose encoding E, D at
