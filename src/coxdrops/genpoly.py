@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import perm_core as pc
-from .perm_core import _BITS, _unpack
+from .perm_core import _BITS, _PARITY, _unpack
 from .laguerre import STEPS_MOTZKIN, _path_heights
 
 VARS = ("t", "p", "q", "x")
@@ -203,8 +203,9 @@ def q_integer(k: int) -> MultiPoly:
 # An enumerator is a transfer over the subset states of Held and Karp
 # (Stanley, EC I, section 4.7): windows grow left to right, and a prefix
 # affects the rest of its signed monomial only through the magnitudes it
-# uses, its last entry and, in D_n, the parity of its negatives.  The tests
-# hold each transfer to an element-wise count of one of verify's key hooks.
+# uses and its last entry; the parity that picks out A_n or D_n rides in
+# the monomial's key.  The tests hold each transfer to an element-wise
+# count of one of verify's key hooks.
 
 # What placing entry v at position i after the entry prev adds to the
 # signed monomial (a, b, c, d, s) of poly_from_counter, where `used` has bit
@@ -232,7 +233,8 @@ def transitions(kind: str, n: int) -> int:
     An upper bound on the steps of a transfer, the budget's measure: 2^n n
     states times n steps out of each, with both signs of a magnitude
     counted in B_n and D_n.  A step places an unused entry only, so the
-    transfer makes about a quarter of these (9,225 at S_9, 5,390 at B_7).
+    transfer makes about a quarter of these (9,225 at S_9 and A_9, 5,390
+    at B_7 and D_7).
 
     >>> transitions("S", 9), transitions("B", 7)
     (41472, 25088)
@@ -257,46 +259,53 @@ def _transfer(kind: str, n: int, stat: str, last: bool = True) -> MultiPoly:
     # the sum over the group of the signed monomials _STEPS[stat] builds,
     # with the sign netted into the coefficients and no zero kept; a step
     # that never reads prev passes last=False.  Each level is emptied as
-    # the next one fills.  A state maps its (t, p, x) exponents, packed as
-    # perm_core packs keys, to one int whose base-2^w digits are the
-    # q-coefficients (Kronecker substitution), so a step adds c << q*w for
-    # each key.  A coefficient counts at most the prefixes that reach its
-    # state, fewer than 2^(w-1), so the digits never overlap.
+    # the next one fills.  A state (used bits, last entry) maps its
+    # (t, p, x) exponents, packed as perm_core packs keys, to one int whose
+    # base-2^w digits are the q-coefficients (Kronecker substitution), so a
+    # step adds c << q*w for each key.  A coefficient counts at most the
+    # prefixes that reach its state, fewer than 2^(w-1), so the digits
+    # never overlap.  perm_core's parity bit, above every field a step adds
+    # to, marks a key in the odd half: a step flips it on an odd number of
+    # inversions added in A_n and on a negative entry in D_n, and only keys
+    # with it clear are read, so A_n and D_n have the states of S_n and B_n.
     pc.check_group(kind, n)
     step = _STEPS[stat]
     signed = kind in ("B", "D")
     w = pc.group_order("B" if signed else "S", n).bit_length() + 1
-    entries = [v for a in range(1, n + 1) for v in ((-a, a) if signed else (a,))]
-    level = {(0, 0, 0): {0: 1}}                # (used bits, last entry, odd negatives)
+    # each entry with its magnitude, the magnitude's bit and D_n's flip
+    entries = [(v, a, 1 << a, _PARITY if kind == "D" and v < 0 else 0)
+               for a in range(1, n + 1) for v in ((-a, a) if signed else (a,))]
+    odd_inv = _PARITY if kind == "A" else 0    # A_n flips on an odd `above`
+    level = {(0, 0): {0: 1}}                   # (used bits, last entry)
     for i in range(1, n + 1):
         nxt: dict[tuple, dict[int, int]] = {}
         while level:
-            (used, prev, odd), poly = level.popitem()
-            for v in entries:
-                if used >> abs(v) & 1:
+            (used, prev), poly = level.popitem()
+            for v, a, bit, neg in entries:
+                if used & bit:
                     continue
-                t, p, q, x, s = step(i, prev, v, (used >> abs(v)).bit_count(), used)
+                above = (used >> a).bit_count()
+                t, p, q, x, s = step(i, prev, v, above, used)
                 shift = t | p << _BITS | x << 3 * _BITS
+                flip = neg ^ odd_inv if above & 1 else neg
                 qw = q * w
-                out = nxt.setdefault((used | 1 << abs(v), v if last else 0,
-                                      odd ^ (v < 0) if kind == "D" else 0), {})
-                get = out.get
+                out = nxt.setdefault((used | bit, v if last else 0), {})
                 for e, c in poly.items():
-                    e += shift
-                    c = get(e, 0) + (-c << qw if s & 1 else c << qw)
+                    e = e + shift ^ flip
+                    c = out.get(e, 0) + (-c << qw if s & 1 else c << qw)
                     if c:
                         out[e] = c
                     else:                      # most signed terms cancel
                         del out[e]
         level = nxt
     total: Counter = Counter()
-    for (_, _, odd), poly in level.items():
-        if not odd:                            # D_n keeps even negatives
-            total.update(poly)
+    for poly in level.values():
+        total.update(poly)
     out = MultiPoly()
     for e, packed in total.items():
-        t, p, _, x, _ = _unpack(e)
-        out.terms.update(((t, p, q, x), c) for q, c in _digits(packed, w).items())
+        t, p, _, x, odd = _unpack(e)
+        if not odd:                            # the even half of A_n or D_n
+            out.terms.update(((t, p, q, x), c) for q, c in _digits(packed, w).items())
     return out
 
 
@@ -325,16 +334,15 @@ def signed_drops(kind: str, n: int) -> MultiPoly:
 
 def drops_poly(kind: str, n: int) -> MultiPoly:
     """
-    Unsigned drops enumerator over S_n or the even subgroup A_n, which is
-    half the sum of the unsigned and the signed enumerators over S_n.
+    Unsigned drops enumerator over S_n or the even subgroup A_n, one
+    transfer either way.
+
+    >>> drops_poly("A", 3).pretty()
+    '1 + 2*q^2'
     """
     if kind not in ("S", "A"):
         raise ValueError("drops_poly kinds: 'S', 'A'")
-    poly = _transfer("S", n, "unsigned")
-    if kind == "A":
-        both = poly + _transfer("S", n, "S")
-        poly = MultiPoly({e: c // 2 for e, c in both.terms.items()})
-    return poly
+    return _transfer(kind, n, "unsigned")
 
 
 def dep_inv_poly(n: int) -> MultiPoly:

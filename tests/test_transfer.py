@@ -202,6 +202,17 @@ def test_drops_poly_s_past_the_sweep_range(n):
     assert gp.mean_variance(dist) == moments(n)
 
 
+@pytest.mark.parametrize("n", [9, 10, 11, 12])
+def test_drops_poly_a_past_the_sweep_range(n):
+    # A_n holds the even half of S_n: half the sum of the unsigned and the
+    # signed S_n distributions, the latter (1 - q)^(n-1)
+    both = gp.drops_poly("S", n).univariate("q")
+    for k, c in binomial_q(n - 1).items():
+        both[k] = both.get(k, 0) + c
+    doubled = {k: 2 * c for k, c in gp.drops_poly("A", n).univariate("q").items()}
+    assert doubled == {k: c for k, c in both.items() if c}
+
+
 @pytest.mark.parametrize("w", [2, 5, 21])
 def test_digits_decode_balanced_digits(w):
     top = (1 << w - 1) - 1                     # the widest coefficient allowed
@@ -211,7 +222,7 @@ def test_digits_decode_balanced_digits(w):
         assert gp._digits(packed, w) == poly
 
 
-@pytest.mark.parametrize("kind, n", [("S", n) for n in range(1, 10)]
+@pytest.mark.parametrize("kind, n", [(k, n) for k in "SA" for n in range(1, 10)]
                          + [(k, n) for k in "BD" for n in range(2, 7)])
 def test_transfer_holds_the_whole_group_on_one_coefficient(kind, n, monkeypatch):
     # every element gets (-1)^n q^3, so one coefficient is +-|group|, the
@@ -219,3 +230,32 @@ def test_transfer_holds_the_whole_group_on_one_coefficient(kind, n, monkeypatch)
     monkeypatch.setitem(gp._STEPS, "flat", lambda i, prev, v, above, used: (0, 0, 3 * (i == 1), 0, 1))
     order = pc.group_order(kind, n)
     assert gp._transfer(kind, n, "flat").terms == {(0, 0, 3, 0): (-1) ** n * order}
+
+
+# ---------------------------------------------------------------------------
+# the even halves ride in the key: A_n and D_n cost what S_n and B_n do
+# ---------------------------------------------------------------------------
+
+def count_steps(monkeypatch, *stats):
+    calls = []
+    for stat in stats:
+        step = gp._STEPS[stat]
+        monkeypatch.setitem(gp._STEPS, stat,
+                            lambda *args, step=step: calls.append(args) or step(*args))
+    return calls
+
+
+def test_d_n_makes_the_steps_of_b_n(monkeypatch):
+    steps = count_steps(monkeypatch, "D")
+    assert gp.signed_drops("D", 7).terms == q_terms(type_d_q(7))
+    assert len(steps) == 5390                 # B_7's count
+
+
+def test_drops_poly_a_is_one_transfer(monkeypatch):
+    steps = count_steps(monkeypatch, "unsigned", "S")
+    transfers = []
+    transfer = gp._transfer
+    monkeypatch.setattr(gp, "_transfer",
+                        lambda *args, **kwargs: transfers.append(args) or transfer(*args, **kwargs))
+    assert gp.drops_moments("A", 9) == moments(9)
+    assert len(transfers) == 1 and len(steps) == 9225
