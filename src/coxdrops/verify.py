@@ -2,10 +2,10 @@
 Batch verification suites: one claim per enumerative identity, each checked
 by exhaustive computation over the relevant group.
 
-Every sweep goes through perm_core.sweep, which splits heavy ones over a
-process pool, block-additive hooks by table context and element-wise hooks
-by rank range, and merges the partial counters in order, so the report
-content never depends on the worker count.
+run_claim sweeps each claim part's declared group through perm_core.sweep,
+which splits heavy sweeps over a process pool, block-additive hooks by table
+context and element-wise hooks by rank range, and merges the partial
+counters in order, so the report content never depends on the worker count.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ import json
 import math
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from typing import Callable, Iterator, Sequence
 
@@ -43,11 +43,7 @@ class VerificationReport:
         return self.status == "pass"
 
     def to_json(self) -> str:
-        return json.dumps({
-            "claim": self.claim, "group": self.group, "n": self.n,
-            "status": self.status, "witness": self.witness,
-            "elapsed_ms": round(self.elapsed_ms, 3), "count": self.count,
-        })
+        return json.dumps(asdict(self) | {"elapsed_ms": round(self.elapsed_ms, 3)})
 
 
 # ---------------------------------------------------------------------------
@@ -232,27 +228,26 @@ def _binomial(power: int, **monomial: int) -> MultiPoly:
     return (MultiPoly.one() - MultiPoly.term(1, **monomial)) ** power
 
 
-def _swept_equals(kind: str, n: int, key: Callable, threads: int,
-                  want: MultiPoly, witness: str):
+def _swept_equals(counter: Counter, want: MultiPoly, witness: str):
     # the signed monomials of a key hook summed over the group, against want
-    got = gp.poly_from_counter(sweep(kind, n, key, threads))
-    return None if got == want else witness
+    return None if gp.poly_from_counter(counter) == want else witness
 
 
 # ---------------------------------------------------------------------------
-# claim runners: each returns a witness string on failure, None on success
+# claim runners: each sweeps its part's group with count(hook), made by
+# run_claim, and returns a witness string on failure, None on success
 # ---------------------------------------------------------------------------
 
-def _run_thm13(n: int, threads: int):
-    return _swept_equals("S", n, trivariate_key, threads, _binomial(n - 1, t=1, p=1, q=1),
+def _run_thm13(n: int, count: Callable):
+    return _swept_equals(count(trivariate_key), _binomial(n - 1, t=1, p=1, q=1),
                          f"trivariate enumerator differs from (1-tpq)^{n - 1}")
 
 
-def _run_cor14(n: int, threads: int):
+def _run_cor14(n: int, count: Callable):
     if n >= 9:
-        return _swept_equals("S", n, drops_key_s, threads, _binomial(n - 1, q=1),
+        return _swept_equals(count(drops_key_s), _binomial(n - 1, q=1),
                              f"signed drops enumerator differs from (1-q)^{n - 1}")
-    tri = gp.poly_from_counter(sweep("S", n, trivariate_key, threads))
+    tri = gp.poly_from_counter(count(trivariate_key))
     for var, name in (("q", "drops"), ("t", "excedance"), ("p", "depth")):
         ones = dict.fromkeys("tpq".replace(var, ""), 1)
         if tri.substitute(**ones) != _binomial(n - 1, **{var: 1}):
@@ -260,20 +255,19 @@ def _run_cor14(n: int, threads: int):
     return None
 
 
-def _run_typeb(n: int, threads: int):
-    return _swept_equals("B", n, drops_key_b, threads, _binomial(n, q=1),
+def _run_typeb(n: int, count: Callable):
+    return _swept_equals(count(drops_key_b), _binomial(n, q=1),
                          f"type-B signed drops enumerator differs from (1-q)^{n}")
 
 
-def _run_typed(n: int, threads: int):
-    want = _binomial(n - 1, q=1) * _binomial(1, q=3)
-    return _swept_equals("D", n, drops_key_d, threads, want,
+def _run_typed(n: int, count: Callable):
+    return _swept_equals(count(drops_key_d), _binomial(n - 1, q=1) * _binomial(1, q=3),
                          f"type-D signed drops enumerator differs from (1-q^3)(1-q)^{n - 1}")
 
 
-def _run_lemma72(n: int, threads: int):
+def _run_lemma72(n: int, count: Callable):
     sums: Counter = Counter()
-    for (negatives, _, z, _, odd), c in sweep("B", n, _zdrops_key, threads).items():
+    for (negatives, _, z, _, odd), c in count(_zdrops_key).items():
         sums[negatives % 2 == 0, z] += -c if odd else c
     bad = [in_d for (in_d, _), v in sums.items() if v]
     if not bad:
@@ -282,10 +276,10 @@ def _run_lemma72(n: int, threads: int):
     return f"signed zdrops sum over {side} does not vanish"
 
 
-def _run_thm11(n: int, threads: int):
+def _run_thm11(n: int, count: Callable):
     de: Counter = Counter()
     dd: Counter = Counter()
-    for (exc, depth, drops, des, _), c in sweep("S", n, _bivariate_key, threads).items():
+    for (exc, depth, drops, des, _), c in count(_bivariate_key).items():
         de[depth, exc] += c
         dd[drops, des] += c
     if de == dd:
@@ -294,17 +288,17 @@ def _run_thm11(n: int, threads: int):
     return f"(depth, exc) vs (drops, des) multiset mismatch near {diff[0]}"
 
 
-def _run_cfrac(n: int, threads: int):
+def _run_cfrac(n: int, count: Callable):
     # the path transfer against the exhaustive sweep, not against
     # dep_inv_poly, which is a transfer too
     want = jfraction_convergent(n).coefficient(n)
-    return _swept_equals("S", n, _dep_inv_key, threads, want,
+    return _swept_equals(count(_dep_inv_key), want,
                          f"t^{n} coefficient of the convergent differs from the enumerator")
 
 
-def _run_mad(n: int, threads: int):
+def _run_mad(n: int, count: Callable):
     paths = n <= 7
-    counter = sweep("S", n, _mad_path_key if paths else _mad_key, threads)
+    counter = count(_mad_path_key if paths else _mad_key)
     dm: Counter = Counter()
     di: Counter = Counter()
     per_path: dict[str, Counter] = {}
@@ -324,8 +318,8 @@ def _run_mad(n: int, threads: int):
     return None
 
 
-def _run_weights(n: int, threads: int):
-    counter = sweep("S", n, _shape, threads)
+def _run_weights(n: int, count: Callable):
+    counter = count(_shape)
     paths = list(motzkin_paths(n))
     if sum(counter.values()) != math.factorial(n):
         return "shape image total is not n!"
@@ -341,14 +335,14 @@ def _run_weights(n: int, threads: int):
     return None
 
 
-def _run_shape(n: int, threads: int):
-    return _witness(sweep("S", n, _shape_witness, threads))
+def _run_shape(n: int, count: Callable):
+    return _witness(count(_shape_witness))
 
 
-def _run_moments(n: int, threads: int):
+def _run_moments(n: int, count: Callable):
     full: Counter = Counter()
     even: Counter = Counter()
-    for (_, _, d, _, odd), c in sweep("S", n, drops_key_s, threads).items():
+    for (_, _, d, _, odd), c in count(drops_key_s).items():
         full[d] += c
         if not odd:
             even[d] += c
@@ -360,11 +354,11 @@ def _run_moments(n: int, threads: int):
     return None
 
 
-def _run_fz(n: int, threads: int):
+def _run_fz(n: int, count: Callable):
     # each window decodes back from its history: a left inverse, so the map
     # is injective and the counter holds one key; |LH*_n| = n! makes it a
     # bijection
-    bad = _witness(sweep("S", n, _fz_key, threads))
+    bad = _witness(count(_fz_key))
     if bad is not None:
         return bad
     if _history_count(n) != math.factorial(n):
@@ -388,12 +382,12 @@ def _check_invol(counter: Counter, want: int):
     return None
 
 
-def _run_invol_s(n: int, threads: int):
-    return _check_invol(sweep("S", n, _invol_key_s, threads), 2 ** (n - 1))
+def _run_invol_s(n: int, count: Callable):
+    return _check_invol(count(_invol_key_s), 2 ** (n - 1))
 
 
-def _run_invol_b(n: int, threads: int):
-    return _check_invol(sweep("B", n, _invol_key_b, threads), 2 ** n)
+def _run_invol_b(n: int, count: Callable):
+    return _check_invol(count(_invol_key_b), 2 ** n)
 
 
 # ---------------------------------------------------------------------------
@@ -468,9 +462,9 @@ def run_claim(name: str, ns: tuple[int, ...] | None = None, threads: int = 1,
     """Run one claim, yielding a report per (group, n) of its :func:`plan`."""
     for part, n in plan([name], ns, max_n):
         t0 = time.perf_counter()
-        witness = part.runner(n, threads)
+        count = lambda hook: sweep(part.group, n, hook, threads)
+        witness = part.runner(n, count)
         elapsed = (time.perf_counter() - t0) * 1000.0
-        # every runner sweeps its group once
         yield VerificationReport(
             claim=name, group=part.group, n=n,
             status="fail" if witness else "pass", witness=witness,

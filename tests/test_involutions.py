@@ -1,3 +1,4 @@
+import itertools
 import json
 from collections import Counter
 
@@ -6,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from coxdrops import perm_core as pc
-from coxdrops.involutions import (InvolutionReport, fixed_points,
-                                  involution_a, involution_b)
+from coxdrops.involutions import (InvolutionReport, _toggle_a, _toggle_b,
+                                  fixed_points, involution_a, involution_b)
 from coxdrops.reduced_words import (canonical_word_a, canonical_word_b,
                                     evaluate_word, ird_and_ascents)
 from oracles import (in_type_d, near_maximal_u, near_maximal_v, stage_factor,
@@ -179,6 +180,26 @@ def test_involution_b_property_large_n(perm_signs):
         assert involution_b(y).output == s
         assert (pc.inv_b(s) - pc.inv_b(y)) % 2 == 1
         assert pc.drops_b(s) == pc.drops_b(y)
+
+
+def _type_b_restricts_to_type_a(p):
+    # a window with no negative entry is toggled at the type-A stage, which
+    # the type-B count (stage 0 for s_0) numbers one higher
+    hit = _toggle_a(p)
+    assert _toggle_b(p) == (hit and (hit[0] + 1,) + hit[1:])
+    assert involution_b(p).output == involution_a(p).output
+
+
+def test_type_b_restricted_to_s_n_is_type_a():
+    for n in range(9):
+        for p in itertools.permutations(range(1, n + 1)):
+            _type_b_restricts_to_type_a(p)
+
+
+@given(st.integers(0, 30).flatmap(lambda n: st.permutations(range(1, n + 1))))
+@settings(max_examples=100)
+def test_type_b_restricted_to_s_n_is_type_a_large_n(p):
+    _type_b_restricts_to_type_a(tuple(p))
 
 
 def test_window_maps_validate_input():

@@ -36,3 +36,24 @@ def test_genpoly_sweeps_nothing():
     called = {getattr(node.func, "attr", getattr(node.func, "id", None))
               for node in ast.walk(tree) if isinstance(node, ast.Call)}
     assert "sweep" not in called and "_transfer" in called
+
+
+def test_verify_sweeps_only_in_run_claim():
+    # run_claim sweeps each claim part's declared group; the runners only
+    # check the counters that sweep hands them
+    tree = ast.parse((SRC / "coxdrops" / "verify.py").read_text())
+    run_claim = next(node for node in tree.body
+                     if isinstance(node, ast.FunctionDef) and node.name == "run_claim")
+
+    def sweeps(root):
+        return [node for node in ast.walk(root) if isinstance(node, ast.Call)
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "sweep"]
+
+    assert len(sweeps(tree)) == 1 and sweeps(run_claim) == sweeps(tree)
+
+
+def test_sources_parse_as_python_3_10():
+    # pyproject.toml declares requires-python >= 3.10: a best-effort syntax
+    # guard (it rejects grammar such as except*, not newer library calls)
+    for path in sorted((SRC / "coxdrops").glob("*.py")):
+        ast.parse(path.read_text(), filename=str(path), feature_version=(3, 10))

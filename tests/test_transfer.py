@@ -96,7 +96,8 @@ def test_cfrac_sweeps_the_hook_with_the_thread_count(monkeypatch):
 
     monkeypatch.setattr(verify, "sweep", sweep)
     monkeypatch.setattr(gp, "_transfer", _no_sweep)
-    assert verify._run_cfrac(5, 3) is None
+    (report,) = verify.run_claim("cfrac", ns=(5,), threads=3)
+    assert report.ok
     assert calls == [("S", 5, verify._dep_inv_key, 3)]
 
 

@@ -252,6 +252,28 @@ def test_type_b_at_n8_passes():
     assert report.ok and report.count == 10_321_920
 
 
+def test_each_part_sweeps_its_own_group(monkeypatch):
+    # every sweep a part makes is of its declared group, at its n, with the
+    # run's thread count; the recorder sweeps serially whatever it is passed
+    import coxdrops.verify as v
+    calls = []
+
+    def recorder(kind, n, hook, threads):
+        calls.append((kind, n, threads))
+        return sweep(kind, n, hook)
+
+    monkeypatch.setattr(v, "sweep", recorder)
+    runs = [(name, None) for name in CLAIMS] + [("cor1.4", (9,))]
+    reports = 0
+    for name, ns in runs:
+        for report in run_claim(name, ns=ns, threads=3):
+            assert report.ok
+            assert calls and set(calls) == {(report.group, report.n, 3)}
+            calls.clear()
+            reports += 1
+    assert reports == 104
+
+
 def test_cfrac_reports_at_the_ends_of_its_range():
     for n in (0, 9):
         (report,) = run_claim("cfrac", ns=(n,), threads=1)
