@@ -47,7 +47,9 @@ def test_criterion_01_signed_trivariate():
 
 
 def test_criterion_02_signed_drops_and_specializations():
-    with criterion(2, "univariate specializations for n <= 8; signed drops at n = 9"):
+    with criterion(2, "signed drops enumerator = (1-q)^(n-1), n <= 9; the excedance "
+                      "and depth forms are specializations of criterion 1"):
+        _claim_passes("thm1.3", ns=tuple(range(1, 9)))
         _claim_passes("cor1.4", ns=tuple(range(1, 9)))
         reports = _claim_passes("cor1.4", ns=(9,))
         assert reports[0].count == 362880

@@ -220,7 +220,7 @@ def test_failing_report_carries_witness(monkeypatch):
 
 @pytest.mark.parametrize("claim, n, witness", [
     ("thm1.3", 4, "trivariate enumerator differs from (1-tpq)^3"),
-    ("cor1.4", 4, "signed drops specialization differs from the binomial form"),
+    ("cor1.4", 4, "signed drops enumerator differs from (1-q)^3"),
     ("cor1.4", 9, "signed drops enumerator differs from (1-q)^8"),
     ("thm-typeB", 3, "type-B signed drops enumerator differs from (1-q)^3"),
     ("thm-typeD", 3, "type-D signed drops enumerator differs from (1-q^3)(1-q)^2"),
@@ -234,16 +234,14 @@ def test_a_wrong_enumerator_is_named_in_the_witness(monkeypatch, claim, n, witne
     assert (report.status, report.witness) == ("fail", witness)
 
 
-@pytest.mark.parametrize("keys, name", [
-    ([(0, 0, 0, 0, 0), (0, 0, 1, 0, 1)], "excedance"),
-    ([(0, 0, 0, 0, 0), (1, 0, 1, 0, 1)], "depth"),
-])
-def test_cor14_names_the_first_wrong_specialization(monkeypatch, keys, name):
-    # 1 - q specializes right for drops alone, 1 - tq for drops and excedance
+def test_moments_names_a_wrong_variance(monkeypatch):
+    # drops 0, 0, 0, 2 over S_2: the mean 1/2 is right, the variance 3/4 not
     import coxdrops.verify as v
-    monkeypatch.setattr(v, "sweep", lambda *args: Counter(keys))
-    (report,) = run_claim("cor1.4", ns=(2,), threads=1)
-    assert report.witness == f"signed {name} specialization differs from the binomial form"
+    monkeypatch.setattr(v, "sweep", lambda *args: Counter(
+        {(0, 0, 0, 0, 0): 3, (0, 0, 2, 0, 0): 1}))
+    (report,) = run_claim("moments", ns=(2,), threads=1)
+    assert (report.status, report.witness) == (
+        "fail", "variance over S_2 is 3/4, not (n+1)(2n^2+7)/180")
 
 
 @pytest.mark.slow
@@ -254,12 +252,15 @@ def test_type_b_at_n8_passes():
 
 def test_each_part_sweeps_its_own_group(monkeypatch):
     # every sweep a part makes is of its declared group, at its n, with the
-    # run's thread count; the recorder sweeps serially whatever it is passed
+    # run's thread count, and with one hook at all its sizes; only mad
+    # sweeps its per-path key at n <= 7.  The recorder sweeps serially
+    # whatever it is passed
     import coxdrops.verify as v
     calls = []
+    hooks: dict[tuple[str, str], set] = {}
 
     def recorder(kind, n, hook, threads):
-        calls.append((kind, n, threads))
+        calls.append((kind, n, threads, hook))
         return sweep(kind, n, hook)
 
     monkeypatch.setattr(v, "sweep", recorder)
@@ -268,10 +269,15 @@ def test_each_part_sweeps_its_own_group(monkeypatch):
     for name, ns in runs:
         for report in run_claim(name, ns=ns, threads=3):
             assert report.ok
-            assert calls and set(calls) == {(report.group, report.n, 3)}
+            assert calls and {c[:3] for c in calls} == {(report.group, report.n, 3)}
+            if name == "mad" and report.n <= 7:
+                assert {c[3] for c in calls} == {v._mad_path_key}
+            else:
+                hooks.setdefault((name, report.group), set()).update(c[3] for c in calls)
             calls.clear()
             reports += 1
     assert reports == 104
+    assert {part: len(h) for part, h in hooks.items() if len(h) != 1} == {}
 
 
 def test_cfrac_reports_at_the_ends_of_its_range():
