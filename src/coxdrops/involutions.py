@@ -95,20 +95,34 @@ def involution_a(p: Sequence[int]) -> InvolutionReport:
 
 def _toggle_b(s: Window) -> tuple[int, int, int] | None:
     # (toggled stage, positions of the two magnitudes to swap), or None at a
-    # fixed point
-    a = b = 0                                  # two largest magnitudes so far
-    ia = ib = -1
+    # fixed point.  The fallback and a near-maximal factor both need a
+    # position i >= 1, so s_0 only seeds the two largest magnitudes so far,
+    # a < b, and each later entry's sign is tested once
+    a, ia = 0, -1
+    b, ib = (abs(s[0]), 0) if s else (0, -1)
     near = fallback = None
-    for i, v in enumerate(s):
-        m = v if v > 0 else -v
-        if fallback is None and (m < a if v > 0 else i > 0):
+    for i in range(1, len(s)):
+        v = s[i]
+        if v > 0:
+            if v > b:
+                a, ia, b, ib = b, ib, v, i
+            elif v > a:
+                a, ia = v, i
+            elif fallback is None:
+                fallback = i, ia, ib
+            continue
+        # a negative entry opens the fallback, and its factor is
+        # near-maximal when |s_i| is one of the two largest so far
+        if fallback is None:
             fallback = i, ia, ib
+        m = -v
         if m > b:
             a, ia, b, ib = b, ib, m, i
         elif m > a:
             a, ia = m, i
-        if v < 0 and i > 0 and (ia == i or ib == i):
-            near = i + 1, ia, ib
+        else:
+            continue
+        near = i + 1, ia, ib
     return near or fallback
 
 
@@ -170,8 +184,12 @@ def _swap_positions(p: Sequence[int], i: int, j: int) -> Window:
 
 
 def _swap_magnitudes(s: Sequence[int], i: int, j: int) -> Window:
-    # exchange |s_i| and |s_j|, each position keeping its sign
+    # exchange |s_i| and |s_j|, each position keeping its sign: entries of
+    # one sign swap, entries of unlike signs each take the other negated
+    u, v = s[i], s[j]
     out = list(s)
-    out[i] = abs(s[j]) if s[i] > 0 else -abs(s[j])
-    out[j] = abs(s[i]) if s[j] > 0 else -abs(s[i])
+    if (u > 0) == (v > 0):
+        out[i], out[j] = v, u
+    else:
+        out[i], out[j] = -v, -u
     return tuple(out)

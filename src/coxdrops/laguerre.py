@@ -292,19 +292,29 @@ def motzkin_shape(p: Sequence[int]) -> str:
     >>> motzkin_shape((3, 1, 2))
     'NES'
     """
-    return _shape(validate_permutation(p))
+    up, down = _shape(validate_permutation(p))
+    return "".join("N" if up >> i & 1 else "S" if down >> i & 1 else "E"
+                   for i in range(1, len(p) + 1))
 
 
-def _shape(p: Window) -> str:
-    # the step kinds of _history alone, with D read as E (at a fixed point
-    # value i is not yet placed, so `back` is 0)
-    seen = 0
-    steps = []
+def _shape(p: Window) -> tuple[int, int]:
+    # The shape's N and S steps as bit masks over positions 1..n.  Step i
+    # is N or E at an excedance p_i > i and D, E or S elsewhere, and takes
+    # the second kind of its pair exactly when i is an excedance value, so
+    # with `pos` the excedance positions and `val` the excedance values,
+    # N = pos - val and S = val - pos (a fixed point lies in neither).
+    pos = val = 0
     for i, v in enumerate(p, 1):
-        back = seen >> i & 1
-        seen |= 1 << v
-        steps.append("NE"[back] if v > i else "ES"[back])
-    return "".join(steps)
+        if v > i:
+            pos |= 1 << i
+            val |= 1 << v
+    return pos & ~val, val & ~pos
+
+
+def _path_key(steps: str) -> tuple[int, int]:
+    # a path's N and S masks, as _shape gives them
+    return (sum(1 << i for i, s in enumerate(steps, 1) if s == "N"),
+            sum(1 << i for i, s in enumerate(steps, 1) if s == "S"))
 
 
 def path_weight(steps: str) -> int:

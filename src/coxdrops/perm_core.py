@@ -479,10 +479,13 @@ def block_additive(hook: Callable[[Window], Hashable] | None = None, *,
     Counts of the prefix values that lie in an interval set by the suffix
     read the prefix's set, not its order.  genpoly.mad is of this kind: a
     descent from u to v adds u - v and the number of values placed before
-    v strictly between v and u.  In S_n and A_n a context fixes the
-    prefix's set of values, but in B_n and D_n only their magnitudes, and
-    the signs move prefix values in and out of such an interval, so the
-    mad hook is marked for S and A alone.
+    v strictly between v and u.  So is the Motzkin shape's step at a suffix
+    position i, which reads whether value i is an excedance value, and so
+    whether it sits in the prefix.  In S_n and A_n a context fixes the
+    prefix's set of values, but in B_n and D_n only their magnitudes: the
+    signs move prefix values in and out of such an interval, and in and
+    out of the excedance-value set, so the mad and shape hooks are marked
+    for S and A alone.
     """
     if not groups or set(groups) - set(GROUPS):
         raise ValueError(f"block_additive groups {groups!r}: expected letters of {GROUPS}")

@@ -23,8 +23,8 @@ from . import perm_core as pc
 from .genpoly import MultiPoly, jfraction_convergent
 from .involutions import (_swap_magnitudes, _swap_positions, _toggle_a,
                           _toggle_b, fixed_points)
-from .laguerre import (_round_trip, _shape, max_height, motzkin_paths,
-                       path_weight)
+from .laguerre import (_path_key, _round_trip, _shape, max_height,
+                       motzkin_paths, path_weight)
 from .perm_core import format_window, group_order, sweep
 
 
@@ -121,7 +121,15 @@ def _mad_key(w):
 
 
 def _mad_path_key(w):
-    return _mad_key(w) + (_shape(w),)
+    return _mad_key(w) + _shape(w)
+
+
+@pc.block_additive(groups="SA")
+def _shape_key(w):
+    # the Motzkin shape's N and S masks (see laguerre._shape) as a monomial,
+    # so S_n is counted by tables; a mask of n positions fits a field for
+    # n <= 14
+    return _shape(w) + (0, 0, 0)
 
 
 def _fz_key(w):
@@ -152,69 +160,63 @@ def _fz_key(w):
 # shown mutual.  The earlier partner then fails any such comparison the later
 # one would, so the first witness, merged in share order, is unchanged.
 
-def _image(w, hit, swap):
-    return w if hit is None else swap(w, hit[1], hit[2])
-
-
 def _shape_witness(w):
     hit = _toggle_a(w)
-    y = _image(w, hit, _swap_positions)
-    if hit is None or y < w and _image(y, _toggle_a(y), _swap_positions) == w:
-        return None                            # fixed, or y compared them
+    if hit is None:
+        return None
+    y = _swap_positions(w, hit[1], hit[2])
+    back = _toggle_a(y)
+    if y < w and back is not None and _swap_positions(y, back[1], back[2]) == w:
+        return None                            # y compared them
     if _shape(w) != _shape(y):
         return f"{format_window(w)}: shape changes under the involution"
     return None
 
 
 def _invol_key_s(w):
+    # (witness or None, whether w is fixed)
     hit = _toggle_a(w)
-    fault = _invol_fault_s(w, hit)
-    return fault and f"{format_window(w)}: {fault}", hit is None
-
-
-def _invol_fault_s(w, hit):
     if hit is None:
         if len(set(pc._scan(w)[:4])) > 1:
-            return "fixed point without inv=drops=depth=iexc"
-        return None
-    y = _image(w, hit, _swap_positions)
-    if _image(y, _toggle_a(y), _swap_positions) != w:
-        return "map is not involutive"
-    if w <= y:
+            return f"{format_window(w)}: fixed point without inv=drops=depth=iexc", True
+        return None, True
+    d, ia, ib = hit
+    y = _swap_positions(w, ia, ib)
+    back = _toggle_a(y)
+    fault = None
+    if (y if back is None else _swap_positions(y, back[1], back[2])) != w:
+        fault = "map is not involutive"
+    elif w <= y:
         sw, sy = pc._scan(w), pc._scan(y)
         if (sw[0] - sy[0]) % 2 == 0:
-            return "sign not reversed"
-        if sw[1:4] != sy[1:4]:
-            return "(drops, depth, iexc) not preserved"
-    d, ia, ib = hit
+            fault = "sign not reversed"
+        elif sw[1:4] != sy[1:4]:
+            fault = "(drops, depth, iexc) not preserved"
     a, b = w[ia], w[ib]
-    if not (a >= d + 1 and b >= d + 2):
-        return f"transposition ({a},{b}) violates bounds at stage {d}"
-    return None
+    if fault is None and not (a >= d + 1 and b >= d + 2):
+        fault = f"transposition ({a},{b}) violates bounds at stage {d}"
+    return fault and f"{format_window(w)}: {fault}", False
 
 
 def _invol_key_b(s):
+    # (witness or None, whether s is fixed)
     hit = _toggle_b(s)
-    fault = _invol_fault_b(s, hit)
-    return fault and f"{format_window(s)}: {fault}", hit is None
-
-
-def _invol_fault_b(s, hit):
     if hit is None:
         if len(set(pc._scan_b(s))) > 1:
-            return "fixed point without inv_b = drops_b"
-        return None
-    y = _image(s, hit, _swap_magnitudes)
-    if _image(y, _toggle_b(y), _swap_magnitudes) != s:
-        return "map is not involutive"
-    if s > y:
-        return None                            # y compared the pair
-    (ls, ds), (ly, dy) = pc._scan_b(s), pc._scan_b(y)
-    if (ls - ly) % 2 == 0:
-        return "sign not reversed"
-    if ds != dy:
-        return "drops_b not preserved"
-    return None
+            return f"{format_window(s)}: fixed point without inv_b = drops_b", True
+        return None, True
+    y = _swap_magnitudes(s, hit[1], hit[2])
+    back = _toggle_b(y)
+    fault = None
+    if (y if back is None else _swap_magnitudes(y, back[1], back[2])) != s:
+        fault = "map is not involutive"
+    elif s <= y:                               # else y compared the pair
+        (ls, ds), (ly, dy) = pc._scan_b(s), pc._scan_b(y)
+        if (ls - ly) % 2 == 0:
+            fault = "sign not reversed"
+        elif ds != dy:
+            fault = "drops_b not preserved"
+    return fault and f"{format_window(s)}: {fault}", False
 
 
 # ---------------------------------------------------------------------------
@@ -292,36 +294,36 @@ def _run_mad(n: int, count: Callable):
     counter = count(_mad_path_key if paths else _mad_key)
     dm: Counter = Counter()
     di: Counter = Counter()
-    per_path: dict[str, Counter] = {}
+    per_path: dict[tuple[int, int], Counter] = {}
     for key, c in counter.items():
         inv, drops, depth, mad = key[:4]
         dm[drops, mad] += c
         di[depth, inv] += c
         if paths:
-            per_path.setdefault(key[5], Counter())[0, 0, inv, depth, 0] += c
+            per_path.setdefault(key[5:], Counter())[0, 0, inv, depth, 0] += c
     # (drops, mad) pairs up with (depth, inv)
     if dm != di:
         return "(drops, mad) is not equidistributed with (depth, inv)"
     for steps in motzkin_paths(n) if paths else ():
-        got = gp.poly_from_counter(per_path.get(steps, Counter()))
+        got = gp.poly_from_counter(per_path.get(_path_key(steps), Counter()))
         if got != gp.per_path_enumerator(steps):
             return f"per-path enumerator mismatch on {steps}"
     return None
 
 
 def _run_weights(n: int, count: Callable):
-    counter = count(_shape)
+    shapes = {key[:2]: c for key, c in count(_shape_key).items()}
     paths = list(motzkin_paths(n))
-    if sum(counter.values()) != math.factorial(n):
+    if sum(shapes.values()) != math.factorial(n):
         return "shape image total is not n!"
     for steps in paths:
-        if path_weight(steps) != counter.get(steps, 0):
+        if path_weight(steps) != shapes.get(_path_key(steps), 0):
             return f"weight of {steps} != preimage count"
     low = [steps for steps in paths if max_height(steps) <= 1]
     if len(low) != 2 ** (n - 1):
         return "height<=1 path count is not 2^(n-1)"
     fixed_shapes = set(map(_shape, fixed_points("S", n)))
-    if fixed_shapes != set(low):
+    if fixed_shapes != set(map(_path_key, low)):
         return "fixed points do not biject onto height<=1 paths"
     return None
 

@@ -12,7 +12,7 @@ from coxdrops import perm_core as pc
 from coxdrops.genpoly import per_path_enumerator
 from coxdrops.involutions import fixed_points, involution_a
 from coxdrops.laguerre import (LaguerreHistory, _decode, _history,
-                               _round_trip, area, from_history,
+                               _round_trip, _shape, area, from_history,
                                fz_history, heights, is_valid_path, max_height,
                                motzkin_paths, motzkin_shape, nest, path_weight)
 from oracles import (cyclic_classify, laguerre_histories, nest_at,
@@ -335,6 +335,26 @@ def test_motzkin_shape_examples():
     assert motzkin_shape((2, 1)) == "NS"
     assert motzkin_shape((3, 1, 2)) == "NES"
     assert motzkin_shape((2, 3, 1)) == "NES"
+
+
+def _shape_agrees_with_the_history(w):
+    # the kernel's N and S masks, and the string rendered from them, against
+    # the history's shape
+    shape = fz_history(w).shape
+    assert motzkin_shape(w) == shape, w
+    assert _shape(w) == tuple(sum(1 << i for i, s in enumerate(shape, 1) if s == kind)
+                              for kind in "NS"), w
+
+
+def test_shape_masks_match_the_history_up_to_8():
+    for n in range(9):
+        for w in itertools.permutations(range(1, n + 1)):
+            _shape_agrees_with_the_history(w)
+
+
+@given(st.integers(9, 30).flatmap(lambda n: st.permutations(range(1, n + 1))))
+def test_shape_masks_match_the_history_large_n(p):
+    _shape_agrees_with_the_history(tuple(p))
 
 
 def test_path_weight_examples():

@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 
 from coxdrops import genpoly, verify
 from coxdrops import perm_core as pc
+from coxdrops.laguerre import motzkin_shape
 
 GROUPS = ([("S", n) for n in range(1, 9)] + [("A", n) for n in range(1, 9)]
           + [("B", n) for n in range(1, 7)] + [("D", n) for n in range(2, 7)])
@@ -27,6 +28,11 @@ RAGGED = (("S", 7), ("A", 7), ("B", 5), ("D", 6))
 
 MARKED = {f.__name__: f for f in vars(verify).values()
           if getattr(f, "table_groups", None)}
+
+
+def steps_mask(steps, kind):
+    """The positions 1..n of a path's `kind` steps, as a bit mask."""
+    return sum(1 << i for i, s in enumerate(steps, 1) if s == kind)
 
 
 # each marked hook's key, built from the public statistics
@@ -39,6 +45,8 @@ DEFINITIONS = {
     "_bivariate_key": lambda w: (pc.exc(w), pc.depth(w), pc.drops(w), pc.des(w), 0),
     "_zdrops_key": lambda s: (len(pc.negs(s)), 0, pc.zdrops(s), 0, pc.inv_d(s) % 2),
     "_mad_key": lambda w: (pc.inv(w), pc.drops(w), pc.depth(w), genpoly.mad(w), 0),
+    "_shape_key": lambda w: (steps_mask(motzkin_shape(w), "N"),
+                             steps_mask(motzkin_shape(w), "S"), 0, 0, 0),
 }
 DEFINED_ON = ([("S", n) for n in range(1, 8)] + [("A", n) for n in range(1, 8)]
               + [("B", n) for n in range(1, 6)] + [("D", n) for n in range(2, 6)])
@@ -69,10 +77,11 @@ def mismatches(hook, groups):
 def test_the_additive_hooks_are_marked():
     assert set(MARKED) >= {
         "trivariate_key", "drops_key_s", "drops_key_b", "drops_key_d",
-        "_dep_inv_key", "_bivariate_key", "_zdrops_key", "_mad_key"}
-    # mad's embracing counts read the prefix's set only when it is unsigned
+        "_dep_inv_key", "_bivariate_key", "_zdrops_key", "_mad_key", "_shape_key"}
+    # mad's embracing counts and the shape's excedance values read the
+    # prefix's set only when it is unsigned
     assert {name: "".join(f.table_groups) for name, f in MARKED.items()
-            if f.table_groups != pc.GROUPS} == {"_mad_key": "SA"}
+            if f.table_groups != pc.GROUPS} == {"_mad_key": "SA", "_shape_key": "SA"}
 
 
 def test_a_mark_names_known_groups():
@@ -199,13 +208,15 @@ def test_the_mad_key_is_counted_by_tables_on_s8():
 
 @pytest.mark.parametrize("kind", ["B", "D"])
 def test_a_mark_gates_the_table_path_by_group(kind):
-    # the mad key is marked for S and A alone: over B_5 and D_5 sweep counts
-    # it element-wise, one call per element, where the tables would be wrong
-    hook, calls = counted_mad_key()
-    want = pc._count(kind, 5, verify._mad_key, 0, 1)
-    assert pc.sweep(kind, 5, hook) == want
-    assert calls["hook"] == pc.group_order(kind, 5)
-    assert pc._count_blocks(kind, 5, verify._mad_key, 0, 1) != want
+    # the mad and shape keys are marked for S and A alone: over B_5 and D_5
+    # sweep counts them element-wise, one call per element, where the
+    # tables would be wrong
+    for key in (verify._mad_key, verify._shape_key):
+        hook, calls = counted_hook(key)
+        want = pc._count(kind, 5, key, 0, 1)
+        assert pc.sweep(kind, 5, hook) == want
+        assert calls["hook"] == pc.group_order(kind, 5)
+        assert pc._count_blocks(kind, 5, key, 0, 1) != want, key.__name__
 
 
 @pytest.mark.slow

@@ -1,5 +1,6 @@
 import ast
 import dataclasses
+import functools
 import json
 import math
 import os
@@ -442,8 +443,11 @@ def test_a_mutual_pair_is_reported_at_its_earlier_member(monkeypatch, threads):
 # ---------------------------------------------------------------------------
 
 def _count_calls(monkeypatch, module, name):
+    # the counted stand-in keeps the real function's name and any
+    # block_additive mark, so sweep routes it as it routes the real one
     real, calls = getattr(module, name), []
 
+    @functools.wraps(real)
     def counted(*args):
         calls.append(args)
         return real(*args)
@@ -476,6 +480,29 @@ def test_shape_reads_each_non_fixed_shape_once(monkeypatch, n):
     calls = _count_calls(monkeypatch, v, "_shape")
     sweep("S", n, v._shape_witness)
     assert len(calls) == math.factorial(n) - 2 ** (n - 1)
+
+
+def test_weights_counts_s8_shapes_by_tables(monkeypatch):
+    # the 70 * (24 + 23 + 3 * 3) calls of any table hook over S_8, not
+    # 8! = 40,320; an element-wise shape sweep fails here
+    import coxdrops.verify as v
+    calls = _count_calls(monkeypatch, v, "_shape_key")
+    (report,) = run_claim("weights", ns=(8,), threads=1)
+    assert report.ok
+    assert len(calls) == 3920
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_a_shape_with_n_and_s_swapped_is_named(monkeypatch, threads):
+    # (2, 1) then reads S N, so the path N S has no preimage
+    import coxdrops.verify as v
+    real = v._shape
+    _chunked(monkeypatch, threads)
+    monkeypatch.setattr(v, "_shape", lambda w: real(w)[::-1])
+    (weights,) = run_claim("weights", ns=(2,), threads=threads)
+    assert weights.witness == "weight of NS != preimage count"
+    (mad,) = run_claim("mad", ns=(2,), threads=threads)
+    assert mad.witness == "per-path enumerator mismatch on NS"
 
 
 @pytest.mark.parametrize("n", range(1, 8))
