@@ -269,8 +269,8 @@ def _cmd_verify(args) -> int:
             _check_budget(f"verify {part.name}", part.group, n,
                           "; pass --force to run it anyway")
     if args.threads < 0:
-        raise _die(f"--threads must be >= 0 (0 means all cores), got {args.threads}")
-    threads = args.threads if args.threads else (os.cpu_count() or 1)
+        raise _die(f"--threads must be >= 0 (0 means every usable CPU), got {args.threads}")
+    threads = args.threads if args.threads else pc.usable_cpus()
     ok = True                                  # each report is written as its part ends
     with _sink(args.out) as fh:
         if args.format != "json":
@@ -382,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, help="run at a single size")
     p.add_argument("--max-n", type=int, help="sweep sizes up to this bound")
     p.add_argument("--threads", type=int, default=0,
-                   help="worker processes (default: all cores)")
+                   help="worker processes (default: every CPU this process may use)")
     p.add_argument("--force", action="store_true",
                    help=f"run an explicit --n even when a group has more "
                         f"than {SWEEP_BUDGET:,} elements")

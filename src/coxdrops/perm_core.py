@@ -389,6 +389,15 @@ def iter_group(kind: str, n: int, start: int = 0,
 _PARALLEL_CUTOFF = 30_000
 
 
+def usable_cpus() -> int:
+    """CPUs this process may run on: its affinity set where the platform
+    reports one, so that taskset and container cpusets count, else
+    os.cpu_count()."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def pool_size(threads: int, cpus: int | None) -> int:
     """Worker processes for ``threads`` requested on ``cpus`` processors,
     clamped to [1, cpus] so that a mistyped count cannot fork thousands."""
@@ -400,11 +409,15 @@ def sweep(kind: str, n: int, hook: Callable[[Window], Hashable],
     """
     Count hook(w) over every element w of the group.
 
-    With ``threads`` > 1 and a large enough group, the group is cut into
-    disjoint shares counted in a process pool, and the partial counters are
-    merged in share order, so the result never depends on the worker count.
-    The hook must be a module-level function, since workers receive it
-    pickled by name.
+    With ``threads`` = K > 1, clamped to :func:`usable_cpus`, and a large
+    enough group, the group is cut into disjoint shares.  The process forks
+    K - 1 children and process k counts the shares i = k mod K, the parent
+    being process 0; it counts its own shares first.  Each child pickles its
+    partial counters back through its own pipe, and the parent merges every
+    share's counter in share order, so the result never depends on the
+    worker count.  A hook that raises in a child raises the same exception
+    in the parent once every child is reaped.  Where os.fork does not exist
+    the sweep counts in one process.
 
     A hook marked with :func:`block_additive` for this group is counted a
     block at a time, walking the group by context: the unused values of a
@@ -416,30 +429,94 @@ def sweep(kind: str, n: int, hook: Callable[[Window], Hashable],
     and entry.  Each distinct key is shifted by the table once.  Workers
     split such a hook by context, one share each, so each table is built
     once.  Any other hook, and a marked hook over a group its mark leaves
-    out, is called on every element, and workers split it into rank ranges;
-    only then is the order of the keys the rank order of the first element
-    giving each, and so only such hooks return witnesses.
+    out, is called on every element, and workers split it into 4K rank
+    ranges (at most 128); only then is the order of the keys the rank order
+    of the first element giving each, and so only such hooks return
+    witnesses.
 
     >>> dict(sweep("S", 3, des))
     {0: 1, 1: 4, 2: 1}
     """
     total = group_order(kind, n)
     count = _count_blocks if kind in getattr(hook, "table_groups", ()) else _count
-    workers = pool_size(threads, os.cpu_count())
-    if workers == 1 or total < _PARALLEL_CUTOFF:
+    workers = pool_size(threads, usable_cpus())
+    if workers == 1 or total < _PARALLEL_CUTOFF or not hasattr(os, "fork"):
         return count(kind, n, hook, 0, 1)
-    import multiprocessing
-    try:
-        context = multiprocessing.get_context("fork")
-    except ValueError:                         # no fork on this platform
-        context = multiprocessing.get_context()
     pieces = min(workers * 4, 128) if count is _count else workers
-    with context.Pool(workers) as pool:
-        parts = pool.starmap(count, [(kind, n, hook, i, pieces) for i in range(pieces)])
     counter: Counter = Counter()
-    for part in parts:
+    for part in _fan_out(functools.partial(count, kind, n, hook), pieces, workers):
         counter.update(part)
     return counter
+
+
+def _fan_out(count: Callable[[int, int], Counter], pieces: int,
+             workers: int) -> list[Counter]:
+    # count(i, pieces) for i = 0..pieces-1, in that order: forked child k
+    # of workers - 1 counts the shares i = k mod workers, the parent those
+    # of 0; on any error in the parent the children are killed, and every
+    # child is reaped before a child's exception is raised
+    import pickle
+    import signal
+    pids: list[int] = []
+    pipes = []                                 # read ends, one per child
+    parts: list = [None] * pieces
+    done = False
+    try:
+        for k in range(1, workers):
+            read, write = os.pipe()
+            pipes.append(open(read, "rb"))
+            try:
+                pid = os.fork()
+                if pid == 0:
+                    _child(count, range(k, pieces, workers), pieces, read, write)
+            finally:
+                os.close(write)
+            pids.append(pid)
+        parts[::workers] = [count(i, pieces) for i in range(0, pieces, workers)]
+        sent = [pipe.read() for pipe in pipes]
+        done = True
+    finally:
+        for pipe in pipes:
+            pipe.close()
+        for pid in pids:
+            if not done:
+                os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+    for k, (pid, data) in enumerate(zip(pids, sent), start=1):
+        if not data:
+            raise RuntimeError(f"sweep worker {pid} ended without sending its counts")
+        counted, error = pickle.loads(data)
+        if error is not None:
+            raise error
+        parts[k::workers] = counted
+    return parts
+
+
+def _child(count: Callable[[int, int], Counter], shares: range, pieces: int,
+           read: int, write: int) -> None:
+    # the body of a forked worker: sends (counters, None) or (None, the
+    # exception) and ends with os._exit, so that it never returns into the
+    # parent's code nor flushes the parent's buffered streams
+    import pickle
+    status = 1
+    try:
+        os.close(read)
+        try:
+            payload = pickle.dumps(([count(i, pieces) for i in shares], None), -1)
+        except BaseException as exc:
+            try:
+                payload = pickle.dumps((None, exc), -1)
+                pickle.loads(payload)          # it must come back, too
+            except BaseException:
+                import traceback
+                trace = traceback.format_exception(type(exc), exc, exc.__traceback__)
+                payload = pickle.dumps(
+                    (None, RuntimeError("sweep worker failed:\n" + "".join(trace))), -1)
+        with open(write, "wb") as pipe:
+            pipe.write(payload)
+        status = 0
+    finally:
+        os._exit(status)
 
 
 def _count(kind: str, n: int, hook: Callable[[Window], Hashable],
@@ -513,8 +590,8 @@ _PARITY = 1 << 4 * _BITS
 
 def _pack(key) -> int:
     a, b, c, d, s = key
-    if not (0 <= a <= _FIELD and 0 <= b <= _FIELD and 0 <= c <= _FIELD
-            and 0 <= d <= _FIELD and s in (0, 1)):
+    # a negative exponent or one of 2**15 or more sets bits past the field
+    if (a | b | c | d) >> _BITS or s not in (0, 1):
         raise ValueError(f"block-additive hook returned {key!r}, "
                          "not a signed monomial key")
     return a | b << _BITS | c << 2 * _BITS | d << 3 * _BITS | s << 4 * _BITS
@@ -543,7 +620,8 @@ def _count_blocks(kind: str, n: int, hook: Callable[[Window], Hashable],
     outer, inner = _suffix_masks(kind, n - m), _suffix_masks(kind, m)
     contexts = itertools.product(itertools.combinations(range(1, n + 1), m),
                                  (0, 1) if kind in ("A", "D") else (0,))
-    packed: Counter = Counter()
+    packed: dict[int, int] = {}
+    get = packed.get
     for rem, parity in itertools.islice(contexts, share, None, shares):
         used = [v for v in range(1, n + 1) if v not in rem]
         # the A_n parity is the prefix's digit sum: inv(prefix) plus the
@@ -556,25 +634,31 @@ def _count_blocks(kind: str, n: int, hook: Callable[[Window], Hashable],
         (ref, key0, _), *others = rows
         # by the prefix's last entry: the keys of prefix + ref, counted, and
         # each row's offset from them
-        lasts = {first[-1]: (Counter({key0: 1}), [_diff(key, key0) for _, key, _ in rows])}
+        lasts = {first[-1]: ({key0: 1}, [_diff(key, key0) for _, key, _ in rows])}
         for p in prefixes:
             key = _pack(hook(p + ref))
-            if p[-1] not in lasts:
-                lasts[p[-1]] = (Counter(), [0] + [_diff(_pack(hook(p + r)), key)
+            last = lasts.get(p[-1])
+            if last is None:
+                last = lasts[p[-1]] = ({}, [0] + [_diff(_pack(hook(p + r)), key)
                                                   for r, _, _ in others])
-            lasts[p[-1]][0][key] += 1
+            counted = last[0]
+            counted[key] = counted.get(key, 0) + 1
         for i, (_, _, shifts) in enumerate(rows):
-            bases: Counter = Counter()
+            bases: dict[int, int] = {}
             for counted, offsets in lasts.values():
+                offset = offsets[i]
                 for k, c in counted.items():
-                    bases[k + offsets[i]] += c
+                    k += offset
+                    bases[k] = bases.get(k, 0) + c
             for k0, c0 in bases.items():
                 for d, c in shifts:
-                    packed[k0 + d] += c0 * c
-    counter: Counter = Counter()
+                    k = k0 + d
+                    packed[k] = get(k, 0) + c0 * c
+    counter: dict = {}
     for k, c in packed.items():
-        counter[_unpack(k)] += c
-    return counter
+        key = _unpack(k)
+        counter[key] = counter.get(key, 0) + c
+    return Counter(counter)
 
 
 def _diff(key: int, base: int) -> int:
@@ -586,12 +670,16 @@ def _delta_table(hook, prefix: Window, block) -> list[tuple[Window, int, list]]:
     # one row per first suffix value u: a reference suffix starting with u,
     # the packed key of prefix + reference, and the distinct packed key
     # differences from it of the suffixes starting with u (0 included),
-    # counted
-    firsts: dict[int, tuple] = {}
+    # counted.  The block runs in lexicographic order, so the suffixes
+    # starting with u are contiguous and a row ends where suffix[0] changes.
+    rows = []
+    u = None
     for suffix in block:
         key = _pack(hook(prefix + suffix))
-        if suffix[0] not in firsts:
-            firsts[suffix[0]] = (suffix, key, Counter())
-        ref, base, diffs = firsts[suffix[0]]
-        diffs[_diff(key, base)] += 1
-    return [(ref, base, list(diffs.items())) for ref, base, diffs in firsts.values()]
+        if suffix[0] != u:
+            u, base, low = suffix[0], key, key & _LOW
+            diffs: dict[int, int] = {}
+            rows.append((suffix, key, diffs))
+        d = (key & _LOW) - low + ((key ^ base) & _PARITY)      # _diff(key, base)
+        diffs[d] = diffs.get(d, 0) + 1
+    return [(ref, base, list(diffs.items())) for ref, base, diffs in rows]

@@ -3,9 +3,10 @@ Batch verification suites: one claim per enumerative identity, each checked
 by exhaustive computation over the relevant group.
 
 run_claim sweeps each claim part's declared group through perm_core.sweep,
-which splits heavy sweeps over a process pool, block-additive hooks by table
-context and element-wise hooks by rank range, and merges the partial
-counters in order, so the report content never depends on the worker count.
+which splits heavy sweeps over forked worker processes and the calling one,
+block-additive hooks by table context and element-wise hooks by rank range,
+and merges the partial counters in order, so the report content never
+depends on the worker count.
 """
 
 from __future__ import annotations

@@ -1,5 +1,6 @@
 import functools
 import itertools
+import os
 
 import pytest
 
@@ -22,3 +23,16 @@ def b_n(n):
 def groups():
     """Plain brute-force group enumerations, independent of iter_group."""
     return {"S": s_n, "B": b_n}
+
+
+@pytest.fixture(autouse=True)
+def no_child_left_behind():
+    """Fail a test that leaves a child process of the test runner behind,
+    running or unreaped, as a sweep worker that outlives its sweep would."""
+    yield
+    try:
+        pid, _ = os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return
+    pytest.fail(f"the test left a child process behind: "
+                f"{f'pid {pid}, unreaped' if pid else 'one still running'}")

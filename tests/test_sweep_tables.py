@@ -231,7 +231,7 @@ def test_table_path_equals_the_element_wise_count(name):
 def test_sweeps_at_the_benchmark_sizes_equal_the_element_wise_count(kind, hook, monkeypatch):
     # thm-typeB and thm-typeD at --n 7 and cor1.4 at --n 9, the
     # parallel-sweep sizes, and lemma7.2 at --n 7: past the groups above
-    monkeypatch.setattr(pc.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(pc, "usable_cpus", lambda: 2)
     n = 9 if kind == "S" else 7
     want = pc._count(kind, n, hook, 0, 1)
     for threads in (1, 2):
@@ -272,7 +272,7 @@ def test_shares_sum_to_the_element_wise_count(name):
 def test_parallel_chunks_match_the_element_wise_count(monkeypatch):
     # every group, so that a group a mark leaves out is swept element-wise
     # in the pool too
-    monkeypatch.setattr(pc.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(pc, "usable_cpus", lambda: 2)
     monkeypatch.setattr(pc, "_PARALLEL_CUTOFF", 0)
     for name, hook in sorted(MARKED.items()):
         for kind, n in RAGGED:

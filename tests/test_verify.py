@@ -14,7 +14,8 @@ import pytest
 from coxdrops.involutions import (_swap_magnitudes, _swap_positions, _toggle_a,
                                   _toggle_b)
 from coxdrops.laguerre import motzkin_shape
-from coxdrops.perm_core import format_window, iter_group, pool_size, sweep
+from coxdrops.perm_core import (format_window, iter_group, pool_size, sweep,
+                                usable_cpus)
 from coxdrops.verify import CLAIMS, plan, run_claim
 
 
@@ -39,43 +40,126 @@ def test_pool_size_is_clamped_to_the_cpu_count():
     assert pool_size(4, None) == 1             # cpu count unknown
 
 
-def test_sweep_uses_the_default_context_without_fork(monkeypatch):
-    import itertools
-    import multiprocessing
+def _forking(monkeypatch, cpus=2):
+    # let sweep fork over `cpus` CPUs at any group size; returns the list of
+    # child pids that os.fork gave the parent
+    import coxdrops.perm_core as pc
+    forks = []
+    fork = os.fork
 
-    from coxdrops import perm_core as pc
-    from coxdrops import verify
+    def counted():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
 
-    class SerialPool:
-        def __init__(self, workers):
-            assert workers == 2
+    monkeypatch.setattr(pc.os, "fork", counted)
+    monkeypatch.setattr(pc, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(pc, "_PARALLEL_CUTOFF", 0)
+    return forks
 
-        def __enter__(self):
-            return self
 
-        def __exit__(self, *exc):
-            return False
+def _no_children_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
-        def starmap(self, fn, jobs):
-            return list(itertools.starmap(fn, jobs))
 
-    class DefaultContext:
-        Pool = SerialPool
-
-    def get_context(method=None):
-        if method == "fork":
-            raise ValueError("cannot find context for 'fork'")
-        return DefaultContext
+def test_sweep_counts_in_one_process_without_fork(monkeypatch):
+    import coxdrops.perm_core as pc
+    import coxdrops.verify as v
 
     # an unmarked hook is counted element-wise, in rank order of first keys
-    serial = pc.sweep("D", 4, pc.drops_d, threads=1)
-    marked = pc.sweep("D", 4, verify.drops_key_d, threads=1)
-    monkeypatch.setattr(multiprocessing, "get_context", get_context)
-    monkeypatch.setattr(pc.os, "cpu_count", lambda: 2)
+    serial = pc.sweep("D", 5, pc.drops_d, threads=1)
+    marked = pc.sweep("D", 5, v.drops_key_d, threads=1)
+    monkeypatch.setattr(pc, "usable_cpus", lambda: 2)
     monkeypatch.setattr(pc, "_PARALLEL_CUTOFF", 0)
-    chunked = pc.sweep("D", 4, pc.drops_d, threads=2)
+    monkeypatch.delattr(pc.os, "fork")
+    chunked = pc.sweep("D", 5, pc.drops_d, threads=2)
     assert chunked == serial and list(chunked) == list(serial)
-    assert pc.sweep("D", 4, verify.drops_key_d, threads=2) == marked
+    tabled = pc.sweep("D", 5, v.drops_key_d, threads=2)
+    assert tabled == marked and list(tabled) == list(marked)
+    _no_children_left()
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_sweep_forks_one_child_fewer_than_its_workers(monkeypatch, threads):
+    # the parent counts a share itself, for a table hook and for an
+    # element-wise witness hook alike; only the witness hook keeps key order
+    import coxdrops.verify as v
+    table, witness = sweep("S", 7, v.drops_key_s), sweep("S", 6, v._invol_key_s)
+    forks = _forking(monkeypatch, cpus=3)
+    assert sweep("S", 7, v.drops_key_s, threads=threads) == table
+    assert len(forks) == threads - 1
+    forks.clear()
+    chunked = sweep("S", 6, v._invol_key_s, threads=threads)
+    assert list(chunked.items()) == list(witness.items())
+    assert len(forks) == threads - 1
+    _no_children_left()
+
+
+def test_a_hook_raising_in_a_child_raises_in_the_parent(monkeypatch):
+    import coxdrops.perm_core as pc
+    # with two workers S_6 is cut into 8 rank ranges of 90; the child counts
+    # the odd ones, so rank 100 is its, and rank 0 the parent's
+    parent = os.getpid()
+
+    def failing_at(rank, error):
+        bad = pc.unrank("S", 6, rank)
+
+        def hook(w):
+            if w == bad:
+                raise error(f"no key for {format_window(w)} in {os.getpid()}")
+            return pc.des(w)
+        return hook
+
+    forks = _forking(monkeypatch)
+    with pytest.raises(ValueError, match=r"no key for 1,6,2,5,3,4 in \d+") as info:
+        sweep("S", 6, failing_at(100, ValueError), threads=2)
+    assert forks == [int(str(info.value).split()[-1])]
+    _no_children_left()
+
+    class Unpicklable(Exception):              # local, so it cannot be pickled
+        pass
+
+    with pytest.raises(RuntimeError, match="Unpicklable: no key for 1,6,2,5,3,4"):
+        sweep("S", 6, failing_at(100, Unpicklable), threads=2)
+    _no_children_left()
+
+    # a hook raising in the parent's own share kills and reaps the child
+    with pytest.raises(KeyError, match=f"no key for 1,2,3,4,5,6 in {parent}"):
+        sweep("S", 6, failing_at(0, KeyError), threads=2)
+    _no_children_left()
+
+
+def test_a_lambda_hook_sweeps_across_workers(monkeypatch):
+    hook = lambda w: (w[0], w[-1] > w[0])      # noqa: E731
+    serial = sweep("B", 5, hook)
+    forks = _forking(monkeypatch)
+    chunked = sweep("B", 5, hook, threads=2)
+    assert chunked == serial and list(chunked) == list(serial)
+    assert len(forks) == 1
+    _no_children_left()
+
+
+def test_the_worker_count_reads_the_cpu_affinity(monkeypatch):
+    # one CPU to run on out of 64 on the host: sweep and verify --threads 0
+    # fork nothing
+    import coxdrops.perm_core as pc
+    from coxdrops.cli import main
+    forks = _forking(monkeypatch)
+    monkeypatch.setattr(pc, "usable_cpus", usable_cpus)
+    monkeypatch.setattr(pc.os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(pc.os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert pc.usable_cpus() == 1
+    assert sweep("S", 7, pc.des, threads=64) == sweep("S", 7, pc.des)
+    assert main(["verify", "cor1.4", "--n", "7", "--threads", "0",
+                 "--out", os.devnull]) == 0
+    assert forks == []
+    # without an affinity call the CPU count stands
+    monkeypatch.delattr(pc.os, "sched_getaffinity")
+    assert pc.usable_cpus() == 64
+    monkeypatch.setattr(pc.os, "cpu_count", lambda: None)
+    assert pc.usable_cpus() == 1
 
 
 def test_unknown_claim():
@@ -166,7 +250,7 @@ def test_parallel_chunks_match_serial(monkeypatch):
     serial = {name: list(run_claim(name, ns=(n,), threads=1))
               for name, n in TABLE_CLAIMS.items()}
     # force chunking by dropping the cutoff
-    monkeypatch.setattr(pc.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(pc, "usable_cpus", lambda: 2)
     monkeypatch.setattr(pc, "_PARALLEL_CUTOFF", 1)
     strip = lambda rs: [dataclasses.replace(r, elapsed_ms=0) for r in rs]
     for name, n in TABLE_CLAIMS.items():
@@ -179,7 +263,7 @@ def test_mad_reports_match_serial_across_workers(monkeypatch):
     # contexts
     import coxdrops.perm_core as pc
     serial = list(run_claim("mad", threads=1))
-    monkeypatch.setattr(pc.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(pc, "usable_cpus", lambda: 2)
     monkeypatch.setattr(pc, "_PARALLEL_CUTOFF", 1)
     strip = lambda rs: [dataclasses.replace(r, elapsed_ms=0) for r in rs]
     assert [r.n for r in serial] == list(range(1, 9))
@@ -197,7 +281,7 @@ def test_pair_claims_match_serial_across_workers(monkeypatch):
     serial = [list(sweep(kind, n, hook).items()) for kind, n, hook in hooks]
     reports = [list(run_claim(name, ns=(n,), threads=1))
                for name, n in (("invol", 5), ("shape", 7))]
-    monkeypatch.setattr(pc.os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(pc, "usable_cpus", lambda: 2)
     monkeypatch.setattr(pc, "_PARALLEL_CUTOFF", 1)
     strip = lambda rs: [dataclasses.replace(r, elapsed_ms=0) for r in rs]
     for (kind, n, hook), want in zip(hooks, serial):
@@ -353,7 +437,7 @@ def _chunked(monkeypatch, threads):
     # with two workers, force rank-range shares so that pairs straddle them
     import coxdrops.perm_core as pc
     if threads > 1:
-        monkeypatch.setattr(pc.os, "cpu_count", lambda: 2)
+        monkeypatch.setattr(pc, "usable_cpus", lambda: 2)
         monkeypatch.setattr(pc, "_PARALLEL_CUTOFF", 1)
 
 
