@@ -121,16 +121,13 @@ def _mad_key(w):
     return pc._scan(w)[:3] + (gp.mad(w), 0)
 
 
-def _mad_path_key(w):
-    return _mad_key(w) + _shape(w)
-
-
 @pc.block_additive(groups="SA")
 def _shape_key(w):
-    # the Motzkin shape's N and S masks (see laguerre._shape) as a monomial,
-    # so S_n is counted by tables; a mask of n positions fits a field for
-    # n <= 14
-    return _shape(w) + (0, 0, 0)
+    # (inv, depth) and the Motzkin shape's N and S masks (see
+    # laguerre._shape) as a monomial, so S_n is counted by tables; a mask of
+    # n positions fits a field for n <= 14
+    inv, _, depth = pc._scan(w)[:3]
+    return (inv, depth) + _shape(w) + (0,)
 
 
 def _fz_key(w):
@@ -291,35 +288,31 @@ def _run_cfrac(n: int, count: Callable):
 
 
 def _run_mad(n: int, count: Callable):
-    paths = n <= 7
-    counter = count(_mad_path_key if paths else _mad_key)
     dm: Counter = Counter()
     di: Counter = Counter()
-    per_path: dict[tuple[int, int], Counter] = {}
-    for key, c in counter.items():
-        inv, drops, depth, mad = key[:4]
+    for (inv, drops, depth, mad, _), c in count(_mad_key).items():
         dm[drops, mad] += c
         di[depth, inv] += c
-        if paths:
-            per_path.setdefault(key[5:], Counter())[0, 0, inv, depth, 0] += c
-    # (drops, mad) pairs up with (depth, inv)
     if dm != di:
         return "(drops, mad) is not equidistributed with (depth, inv)"
-    for steps in motzkin_paths(n) if paths else ():
-        got = gp.poly_from_counter(per_path.get(_path_key(steps), Counter()))
-        if got != gp.per_path_enumerator(steps):
-            return f"per-path enumerator mismatch on {steps}"
     return None
 
 
 def _run_weights(n: int, count: Callable):
-    shapes = {key[:2]: c for key, c in count(_shape_key).items()}
-    paths = list(motzkin_paths(n))
-    if sum(shapes.values()) != math.factorial(n):
+    counter = count(_shape_key)
+    if sum(counter.values()) != math.factorial(n):
         return "shape image total is not n!"
+    # each shape's (depth, inv) enumerator, as x^depth q^inv monomials
+    shapes: dict[tuple[int, int], Counter] = {}
+    for (inv, depth, up, down, _), c in counter.items():
+        shapes.setdefault((up, down), Counter())[0, 0, inv, depth, 0] += c
+    paths = list(motzkin_paths(n))
     for steps in paths:
-        if path_weight(steps) != shapes.get(_path_key(steps), 0):
+        by = shapes.get(_path_key(steps), Counter())
+        if path_weight(steps) != sum(by.values()):
             return f"weight of {steps} != preimage count"
+        if gp.poly_from_counter(by) != gp.per_path_enumerator(steps):
+            return f"per-path enumerator mismatch on {steps}"
     low = [steps for steps in paths if max_height(steps) <= 1]
     if len(low) != 2 ** (n - 1):
         return "height<=1 path count is not 2^(n-1)"
@@ -416,9 +409,10 @@ CLAIMS: dict[str, tuple[ClaimDef, ...]] = {
     "cfrac": (ClaimDef("cfrac", "S", tuple(range(0, 9)), _run_cfrac,
               "continued-fraction convergent matches the (depth, inv) enumerator"),),
     "mad": (ClaimDef("mad", "S", tuple(range(1, 9)), _run_mad,
-            "(drops, mad) matches (depth, inv); per-path identity for n <= 7"),),
+            "(drops, mad) matches (depth, inv)"),),
     "weights": (ClaimDef("weights", "S", tuple(range(1, 9)), _run_weights,
-                "path weights count shape preimages; height<=1 structure"),),
+                "path weights count shape preimages and per-path (depth, inv) "
+                "enumerators; height<=1 structure"),),
     "shape": (ClaimDef("shape", "S", tuple(range(1, 9)), _run_shape,
               "the type-A involution preserves the history shape"),),
     "moments": (ClaimDef("moments", "S", tuple(range(1, 9)), _run_moments,

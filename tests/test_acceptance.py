@@ -93,8 +93,8 @@ def test_criterion_08_shape_preservation():
 
 
 def test_criterion_09_path_weights():
-    with criterion(9, "weights count preimages; totals n!; 2^(n-1) low paths "
-                      "carry the fixed points, n <= 8"):
+    with criterion(9, "weights count preimages; per-path (depth, inv) enumerators; "
+                      "totals n!; 2^(n-1) low paths carry the fixed points, n <= 8"):
         _claim_passes("weights", ns=tuple(range(1, 9)))
 
 
@@ -105,8 +105,7 @@ def test_criterion_10_involution_suites():
 
 
 def test_criterion_11_mad():
-    with criterion(11, "(drops, mad) matches (depth, inv) for n <= 8; "
-                       "per-path identity for n <= 7"):
+    with criterion(11, "(drops, mad) matches (depth, inv) for n <= 8"):
         _claim_passes("mad", ns=tuple(range(1, 9)))
 
 

@@ -437,8 +437,8 @@ def test_per_path_examples():
 
 
 def test_per_path_sums_to_enumerator():
-    # up to n = 7 the mad claim matches every per-path enumerator with the
-    # (depth, inv) enumerator of the permutations of that shape
+    # the mad claim to n = 7; the per-path identity itself is the weights
+    # claim's (see test_verify)
     assert all(r.ok for r in run_claim("mad", ns=tuple(range(1, 8)), threads=1))
 
 

@@ -45,8 +45,8 @@ DEFINITIONS = {
     "_bivariate_key": lambda w: (pc.exc(w), pc.depth(w), pc.drops(w), pc.des(w), 0),
     "_zdrops_key": lambda s: (len(pc.negs(s)), 0, pc.zdrops(s), 0, pc.inv_d(s) % 2),
     "_mad_key": lambda w: (pc.inv(w), pc.drops(w), pc.depth(w), genpoly.mad(w), 0),
-    "_shape_key": lambda w: (steps_mask(motzkin_shape(w), "N"),
-                             steps_mask(motzkin_shape(w), "S"), 0, 0, 0),
+    "_shape_key": lambda w: (pc.inv(w), pc.depth(w), steps_mask(motzkin_shape(w), "N"),
+                             steps_mask(motzkin_shape(w), "S"), 0),
 }
 DEFINED_ON = ([("S", n) for n in range(1, 8)] + [("A", n) for n in range(1, 8)]
               + [("B", n) for n in range(1, 6)] + [("D", n) for n in range(2, 6)])

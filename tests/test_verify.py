@@ -5,6 +5,7 @@ import json
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -29,6 +30,20 @@ def test_registry_contents():
         for part in parts:
             assert part.group in ("S", "B", "D")
             assert part.description
+
+
+def test_readme_claims_table_follows_the_registry():
+    # one row per claim in registry order; each scale cell names every
+    # part's group and largest default n
+    readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = [re.split(r"(?<!\\)\|", line)[1:-1] for line in readme.splitlines()
+            if line.startswith("| `")]
+    assert [row[0].strip().strip("`") for row in rows] == list(CLAIMS)
+    for row, parts in zip(rows, CLAIMS.values()):
+        scales = [(part.group, max(part.default_ns)) for part in parts]
+        want = (f"{scales[0][0]}, n ≤ {scales[0][1]}" if len(scales) == 1
+                else ", ".join(f"{g} n ≤ {n}" for g, n in scales))
+        assert row[-1].strip() == want, row[0]
 
 
 def test_pool_size_is_clamped_to_the_cpu_count():
@@ -259,8 +274,7 @@ def test_parallel_chunks_match_serial(monkeypatch):
 
 
 def test_mad_reports_match_serial_across_workers(monkeypatch):
-    # n <= 7 sweeps the path key by rank ranges, n = 8 the mad key by table
-    # contexts
+    # n <= 4 sweeps the mad key by rank ranges, n >= 5 by table contexts
     import coxdrops.perm_core as pc
     serial = list(run_claim("mad", threads=1))
     monkeypatch.setattr(pc, "usable_cpus", lambda: 2)
@@ -337,9 +351,11 @@ def test_type_b_at_n8_passes():
 
 def test_each_part_sweeps_its_own_group(monkeypatch):
     # every sweep a part makes is of its declared group, at its n, with the
-    # run's thread count, and with one hook at all its sizes; only mad
-    # sweeps its per-path key at n <= 7.  The recorder sweeps serially
-    # whatever it is passed
+    # run's thread count, and with one hook at all its sizes; every key hook
+    # that verify defines is swept by some part.  The recorder sweeps
+    # serially whatever it is passed
+    import inspect
+
     import coxdrops.verify as v
     calls = []
     hooks: dict[tuple[str, str], set] = {}
@@ -355,14 +371,14 @@ def test_each_part_sweeps_its_own_group(monkeypatch):
         for report in run_claim(name, ns=ns, threads=3):
             assert report.ok
             assert calls and {c[:3] for c in calls} == {(report.group, report.n, 3)}
-            if name == "mad" and report.n <= 7:
-                assert {c[3] for c in calls} == {v._mad_path_key}
-            else:
-                hooks.setdefault((name, report.group), set()).update(c[3] for c in calls)
+            hooks.setdefault((name, report.group), set()).update(c[3] for c in calls)
             calls.clear()
             reports += 1
     assert reports == 104
     assert {part: len(h) for part, h in hooks.items() if len(h) != 1} == {}
+    defined = {f for f in vars(v).values() if inspect.isfunction(f)
+               and f.__module__ == v.__name__ and "_key" in f.__name__}
+    assert defined - set().union(*hooks.values()) == set()
 
 
 def test_cfrac_reports_at_the_ends_of_its_range():
@@ -576,6 +592,17 @@ def test_weights_counts_s8_shapes_by_tables(monkeypatch):
     assert len(calls) == 3920
 
 
+def test_a_per_path_fault_at_s8_is_named(monkeypatch):
+    # one length-8 path's enumerator off by one monomial: weights checks
+    # every path's (depth, inv) enumerator at every n, S_8 included
+    import coxdrops.genpoly as gp
+    real = gp.per_path_enumerator
+    monkeypatch.setattr(gp, "per_path_enumerator", lambda steps: real(steps) + (
+        gp.MultiPoly.one() if steps == "NENESESE" else gp.MultiPoly.zero()))
+    (report,) = run_claim("weights", ns=(8,), threads=1)
+    assert report.witness == "per-path enumerator mismatch on NENESESE"
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_a_shape_with_n_and_s_swapped_is_named(monkeypatch, threads):
     # (2, 1) then reads S N, so the path N S has no preimage
@@ -586,7 +613,7 @@ def test_a_shape_with_n_and_s_swapped_is_named(monkeypatch, threads):
     (weights,) = run_claim("weights", ns=(2,), threads=threads)
     assert weights.witness == "weight of NS != preimage count"
     (mad,) = run_claim("mad", ns=(2,), threads=threads)
-    assert mad.witness == "per-path enumerator mismatch on NS"
+    assert mad.ok
 
 
 @pytest.mark.parametrize("n", range(1, 8))
