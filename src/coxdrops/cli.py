@@ -201,34 +201,33 @@ def _cmd_path(args) -> int:
     return 0
 
 
+# the transfers `poly --which` names (besides per-path): domain and (group, n) -> poly
+_POLYS = {
+    "trivariate": ("S_n", lambda group, n: gp.signed_trivariate(n)),
+    "signed-drops": ("S_n, B_n and D_n", gp.signed_drops),
+    "drops": ("S_n and A_n", gp.drops_poly),
+    "dep-inv": ("S_n", lambda group, n: gp.dep_inv_poly(n)),
+    "drops-mad": ("S_n", lambda group, n: gp.drops_mad_poly(n)),
+}
+
+
 def _cmd_poly(args) -> int:
     which = args.which
     if args.path is not None and which != "per-path":
         raise _die(f"poly --path is read by --which per-path only, not by --which {which}")
-    groups = {"signed-drops": "S_n, B_n and D_n", "drops": "S_n and A_n"}.get(which, "S_n")
+    groups, transfer = _POLYS.get(which, ("S_n", None))
     if f"{args.group}_n" not in groups:
         raise _die(f"poly --which {which} is defined on {groups} only, not on {args.group}_n")
     n = 0 if args.n is None else args.n
-    if which != "per-path":                   # sized by its subset-state steps
+    if transfer is not None:                  # sized by its subset-state steps
         _within_budget(f"poly --which {which} would run a transfer over {args.group}_{n}",
                        lambda k: gp.transitions(args.group, k), n, "transition")
-    if which == "trivariate":
-        poly = gp.signed_trivariate(n)
-    elif which == "signed-drops":
-        poly = gp.signed_drops(args.group, n)
-    elif which == "drops":
-        poly = gp.drops_poly(args.group, n)
-    elif which == "dep-inv":
-        poly = gp.dep_inv_poly(n)
-    elif which == "drops-mad":
-        poly = gp.drops_mad_poly(n)
-    elif which == "per-path":
+        poly = transfer(args.group, n)
+    else:
         if args.path is None:
             raise _die("poly --which per-path needs --path")
         _refuse_unread("poly", args, ("n",), "--which per-path")
         poly = gp.per_path_enumerator(args.path.upper())
-    else:
-        raise _die(f"unknown polynomial {which!r}")
     _emit(poly.to_json() if args.format == "json" else poly.pretty(), args.out)
     return 0
 
@@ -365,8 +364,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = common(sub.add_parser("poly", help="statistic enumerator polynomials"))
     p.add_argument("--which", required=True,
-                   choices=("trivariate", "signed-drops", "drops", "dep-inv",
-                            "drops-mad", "per-path"))
+                   choices=(*_POLYS, "per-path"))
     p.add_argument("--group", choices=pc.GROUPS, default="S")
     p.add_argument("--n", type=int, help="default 0")
     p.add_argument("--path")

@@ -11,6 +11,7 @@ base-2^w digits are its coefficients, with w wide enough for any of them.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import math
@@ -359,9 +360,10 @@ def dep_inv_poly(n: int) -> MultiPoly:
 # Motzkin-path weights and the continued-fraction convergent
 # ---------------------------------------------------------------------------
 
+@functools.cache
 def _step_weight(step: str, h: int) -> MultiPoly:
     # a Motzkin step at pre-step height h weighs x^h q^h times [h+1]_q (N),
-    # [h]_q (S) or [h]_q + [h+1]_q (E)
+    # [h]_q (S) or [h]_q + [h+1]_q (E); cached, so no caller may mutate it
     if step == "N":
         f = q_integer(h + 1)
     elif step == "S":

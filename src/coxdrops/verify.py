@@ -2,11 +2,12 @@
 Batch verification suites: one claim per enumerative identity, each checked
 by exhaustive computation over the relevant group.
 
-run_claim sweeps each claim part's declared group through perm_core.sweep,
-which splits heavy sweeps over forked worker processes and the calling one,
-block-additive hooks by table context and element-wise hooks by rank range,
-and merges the partial counters in order, so the report content never
-depends on the worker count.
+Each claim part in CLAIMS names its group, sizes, hook and check.  run_claim
+sweeps the hook over the group through perm_core.sweep and hands the merged
+counter to the check.  sweep splits heavy sweeps over forked worker
+processes and the calling one, block-additive hooks by table context and
+element-wise hooks by rank range, and merges the partial counters in order,
+so the report content never depends on the worker count.
 """
 
 from __future__ import annotations
@@ -232,33 +233,33 @@ def _swept_equals(counter: Counter, want: MultiPoly, witness: str):
 
 
 # ---------------------------------------------------------------------------
-# claim runners: each sweeps its part's group with count(hook), made by
+# claim runners: each checks the counter of its part's hook, swept by
 # run_claim, and returns a witness string on failure, None on success
 # ---------------------------------------------------------------------------
 
-def _run_thm13(n: int, count: Callable):
-    return _swept_equals(count(trivariate_key), _binomial(n - 1, t=1, p=1, q=1),
+def _run_thm13(n: int, counter: Counter):
+    return _swept_equals(counter, _binomial(n - 1, t=1, p=1, q=1),
                          f"trivariate enumerator differs from (1-tpq)^{n - 1}")
 
 
-def _run_cor14(n: int, count: Callable):
-    return _swept_equals(count(drops_key_s), _binomial(n - 1, q=1),
+def _run_cor14(n: int, counter: Counter):
+    return _swept_equals(counter, _binomial(n - 1, q=1),
                          f"signed drops enumerator differs from (1-q)^{n - 1}")
 
 
-def _run_typeb(n: int, count: Callable):
-    return _swept_equals(count(drops_key_b), _binomial(n, q=1),
+def _run_typeb(n: int, counter: Counter):
+    return _swept_equals(counter, _binomial(n, q=1),
                          f"type-B signed drops enumerator differs from (1-q)^{n}")
 
 
-def _run_typed(n: int, count: Callable):
-    return _swept_equals(count(drops_key_d), _binomial(n - 1, q=1) * _binomial(1, q=3),
+def _run_typed(n: int, counter: Counter):
+    return _swept_equals(counter, _binomial(n - 1, q=1) * _binomial(1, q=3),
                          f"type-D signed drops enumerator differs from (1-q^3)(1-q)^{n - 1}")
 
 
-def _run_lemma72(n: int, count: Callable):
+def _run_lemma72(n: int, counter: Counter):
     sums: Counter = Counter()
-    for (negatives, _, z, _, odd), c in count(_zdrops_key).items():
+    for (negatives, _, z, _, odd), c in counter.items():
         sums[negatives % 2 == 0, z] += -c if odd else c
     bad = [in_d for (in_d, _), v in sums.items() if v]
     if not bad:
@@ -267,10 +268,10 @@ def _run_lemma72(n: int, count: Callable):
     return f"signed zdrops sum over {side} does not vanish"
 
 
-def _run_thm11(n: int, count: Callable):
+def _run_thm11(n: int, counter: Counter):
     de: Counter = Counter()
     dd: Counter = Counter()
-    for (exc, depth, drops, des, _), c in count(_bivariate_key).items():
+    for (exc, depth, drops, des, _), c in counter.items():
         de[depth, exc] += c
         dd[drops, des] += c
     if de == dd:
@@ -279,18 +280,18 @@ def _run_thm11(n: int, count: Callable):
     return f"(depth, exc) vs (drops, des) multiset mismatch near {diff[0]}"
 
 
-def _run_cfrac(n: int, count: Callable):
+def _run_cfrac(n: int, counter: Counter):
     # the path transfer against the exhaustive sweep, not against
     # dep_inv_poly, which is a transfer too
     want = jfraction_convergent(n).coefficient(n)
-    return _swept_equals(count(_dep_inv_key), want,
+    return _swept_equals(counter, want,
                          f"t^{n} coefficient of the convergent differs from the enumerator")
 
 
-def _run_mad(n: int, count: Callable):
+def _run_mad(n: int, counter: Counter):
     dm: Counter = Counter()
     di: Counter = Counter()
-    for (inv, drops, depth, mad, _), c in count(_mad_key).items():
+    for (inv, drops, depth, mad, _), c in counter.items():
         dm[drops, mad] += c
         di[depth, inv] += c
     if dm != di:
@@ -298,8 +299,7 @@ def _run_mad(n: int, count: Callable):
     return None
 
 
-def _run_weights(n: int, count: Callable):
-    counter = count(_shape_key)
+def _run_weights(n: int, counter: Counter):
     if sum(counter.values()) != math.factorial(n):
         return "shape image total is not n!"
     # each shape's (depth, inv) enumerator, as x^depth q^inv monomials
@@ -322,14 +322,14 @@ def _run_weights(n: int, count: Callable):
     return None
 
 
-def _run_shape(n: int, count: Callable):
-    return _witness(count(_shape_witness))
+def _run_shape(n: int, counter: Counter):
+    return _witness(counter)
 
 
-def _run_moments(n: int, count: Callable):
+def _run_moments(n: int, counter: Counter):
     full: Counter = Counter()
     even: Counter = Counter()
-    for (_, _, d, _, odd), c in count(drops_key_s).items():
+    for (_, _, d, _, odd), c in counter.items():
         full[d] += c
         if not odd:
             even[d] += c
@@ -343,11 +343,11 @@ def _run_moments(n: int, count: Callable):
     return None
 
 
-def _run_fz(n: int, count: Callable):
+def _run_fz(n: int, counter: Counter):
     # each window decodes back from its history: a left inverse, so the map
     # is injective and the counter holds one key; |LH*_n| = n! makes it a
     # bijection
-    bad = _witness(count(_fz_key))
+    bad = _witness(counter)
     if bad is not None:
         return bad
     if _history_count(n) != math.factorial(n):
@@ -371,12 +371,12 @@ def _check_invol(counter: Counter, want: int):
     return None
 
 
-def _run_invol_s(n: int, count: Callable):
-    return _check_invol(count(_invol_key_s), 2 ** (n - 1))
+def _run_invol_s(n: int, counter: Counter):
+    return _check_invol(counter, 2 ** (n - 1))
 
 
-def _run_invol_b(n: int, count: Callable):
-    return _check_invol(count(_invol_key_b), 2 ** n)
+def _run_invol_b(n: int, counter: Counter):
+    return _check_invol(counter, 2 ** n)
 
 
 # ---------------------------------------------------------------------------
@@ -388,41 +388,42 @@ class ClaimDef:
     name: str
     group: str
     default_ns: tuple[int, ...]
-    runner: Callable
+    hook: Callable               # swept over the group at each n
+    check: Callable              # (n, counter) -> witness or None
     description: str
 
 
 CLAIMS: dict[str, tuple[ClaimDef, ...]] = {
-    "thm1.1": (ClaimDef("thm1.1", "S", tuple(range(1, 9)), _run_thm11,
+    "thm1.1": (ClaimDef("thm1.1", "S", tuple(range(1, 9)), _bivariate_key, _run_thm11,
                "(depth, exc) and (drops, des) are equidistributed"),),
-    "thm1.3": (ClaimDef("thm1.3", "S", tuple(range(1, 9)), _run_thm13,
+    "thm1.3": (ClaimDef("thm1.3", "S", tuple(range(1, 9)), trivariate_key, _run_thm13,
                "signed (exc, depth, drops) enumerator factors as (1-tpq)^(n-1)"),),
-    "cor1.4": (ClaimDef("cor1.4", "S", tuple(range(1, 9)), _run_cor14,
+    "cor1.4": (ClaimDef("cor1.4", "S", tuple(range(1, 9)), drops_key_s, _run_cor14,
                "signed univariate drops enumerator equals (1-q)^(n-1); the "
                "excedance and depth specializations follow from thm1.3"),),
-    "thm-typeB": (ClaimDef("thm-typeB", "B", tuple(range(1, 7)), _run_typeb,
+    "thm-typeB": (ClaimDef("thm-typeB", "B", tuple(range(1, 7)), drops_key_b, _run_typeb,
                   "signed type-B drops enumerator equals (1-q)^n"),),
-    "thm-typeD": (ClaimDef("thm-typeD", "D", tuple(range(2, 7)), _run_typed,
+    "thm-typeD": (ClaimDef("thm-typeD", "D", tuple(range(2, 7)), drops_key_d, _run_typed,
                   "signed type-D drops enumerator equals (1-q^3)(1-q)^(n-1)"),),
-    "lemma7.2": (ClaimDef("lemma7.2", "B", tuple(range(2, 7)), _run_lemma72,
+    "lemma7.2": (ClaimDef("lemma7.2", "B", tuple(range(2, 7)), _zdrops_key, _run_lemma72,
                  "signed zdrops sums over B_n - D_n and over D_n vanish"),),
-    "cfrac": (ClaimDef("cfrac", "S", tuple(range(0, 9)), _run_cfrac,
+    "cfrac": (ClaimDef("cfrac", "S", tuple(range(0, 9)), _dep_inv_key, _run_cfrac,
               "continued-fraction convergent matches the (depth, inv) enumerator"),),
-    "mad": (ClaimDef("mad", "S", tuple(range(1, 9)), _run_mad,
+    "mad": (ClaimDef("mad", "S", tuple(range(1, 9)), _mad_key, _run_mad,
             "(drops, mad) matches (depth, inv)"),),
-    "weights": (ClaimDef("weights", "S", tuple(range(1, 9)), _run_weights,
+    "weights": (ClaimDef("weights", "S", tuple(range(1, 9)), _shape_key, _run_weights,
                 "path weights count shape preimages and per-path (depth, inv) "
                 "enumerators; height<=1 structure"),),
-    "shape": (ClaimDef("shape", "S", tuple(range(1, 9)), _run_shape,
+    "shape": (ClaimDef("shape", "S", tuple(range(1, 9)), _shape_witness, _run_shape,
               "the type-A involution preserves the history shape"),),
-    "moments": (ClaimDef("moments", "S", tuple(range(1, 9)), _run_moments,
+    "moments": (ClaimDef("moments", "S", tuple(range(1, 9)), drops_key_s, _run_moments,
                 "exact drops mean and variance over S_n; A_n moments agree for n >= 4"),),
-    "fz": (ClaimDef("fz", "S", tuple(range(1, 9)), _run_fz,
+    "fz": (ClaimDef("fz", "S", tuple(range(1, 9)), _fz_key, _run_fz,
            "history encoding: a left inverse, |LH*_n| = n!, statistics carried"),),
     "invol": (
-        ClaimDef("invol", "S", tuple(range(1, 9)), _run_invol_s,
+        ClaimDef("invol", "S", tuple(range(1, 9)), _invol_key_s, _run_invol_s,
                  "type-A involution: involutive, sign-reversing, statistic-preserving"),
-        ClaimDef("invol", "B", tuple(range(1, 7)), _run_invol_b,
+        ClaimDef("invol", "B", tuple(range(1, 7)), _invol_key_b, _run_invol_b,
                  "type-B involution: involutive, sign-reversing, drops_b-preserving"),
     ),
 }
@@ -452,8 +453,7 @@ def run_claim(name: str, ns: tuple[int, ...] | None = None, threads: int = 1,
     """Run one claim, yielding a report per (group, n) of its :func:`plan`."""
     for part, n in plan([name], ns, max_n):
         t0 = time.perf_counter()
-        count = lambda hook: sweep(part.group, n, hook, threads)
-        witness = part.runner(n, count)
+        witness = part.check(n, sweep(part.group, n, part.hook, threads))
         elapsed = (time.perf_counter() - t0) * 1000.0
         yield VerificationReport(
             claim=name, group=part.group, n=n,

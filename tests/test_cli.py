@@ -372,8 +372,8 @@ def test_verify_writes_each_report_when_its_part_finishes(capsys, monkeypatch,
 
 
 def test_verify_exit_code_counts_a_failing_report(capsys, monkeypatch):
-    failing = verify.ClaimDef("thm1.3", "S", (1, 2),
-                              lambda n, threads: "bad" if n == 1 else None, "fails at n = 1")
+    failing = verify.ClaimDef("thm1.3", "S", (1, 2), verify.trivariate_key,
+                              lambda n, counter: "bad" if n == 1 else None, "fails at n = 1")
     monkeypatch.setitem(verify.CLAIMS, "thm1.3", (failing,))
     code, out = run_cli(capsys, "verify", "thm1.3", "--threads", "1")
     assert code == 1

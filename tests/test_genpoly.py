@@ -436,12 +436,6 @@ def test_per_path_examples():
         per_path_enumerator("NEDS")
 
 
-def test_per_path_sums_to_enumerator():
-    # the mad claim to n = 7; the per-path identity itself is the weights
-    # claim's (see test_verify)
-    assert all(r.ok for r in run_claim("mad", ns=tuple(range(1, 8)), threads=1))
-
-
 def test_per_path_matches_preimages(groups):
     for n in range(1, 6):
         agg = {}

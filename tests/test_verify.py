@@ -33,13 +33,15 @@ def test_registry_contents():
 
 
 def test_readme_claims_table_follows_the_registry():
-    # one row per claim in registry order; each scale cell names every
-    # part's group and largest default n
+    # one row per claim in registry order; its hook and scale cells name
+    # every part's hook, and every part's group and largest default n
     readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
     rows = [re.split(r"(?<!\\)\|", line)[1:-1] for line in readme.splitlines()
             if line.startswith("| `")]
     assert [row[0].strip().strip("`") for row in rows] == list(CLAIMS)
     for row, parts in zip(rows, CLAIMS.values()):
+        hooks = ", ".join(f"`{part.hook.__name__}`" for part in parts)
+        assert row[-2].strip() == hooks, row[0]
         scales = [(part.group, max(part.default_ns)) for part in parts]
         want = (f"{scales[0][0]}, n ≤ {scales[0][1]}" if len(scales) == 1
                 else ", ".join(f"{g} n ≤ {n}" for g, n in scales))
@@ -257,7 +259,13 @@ def test_claims_below_their_first_size_run_nothing():
 
 # the claims whose hooks are block-additive, at sizes of many table contexts
 TABLE_CLAIMS = {"thm1.1": 7, "thm1.3": 7, "cor1.4": 7, "thm-typeB": 5,
-                "thm-typeD": 6, "lemma7.2": 5, "cfrac": 7, "moments": 7}
+                "thm-typeD": 6, "lemma7.2": 5, "cfrac": 7, "mad": 7, "weights": 7,
+                "moments": 7}
+
+
+def test_table_claims_are_the_block_additive_ones():
+    assert set(TABLE_CLAIMS) == {name for name, parts in CLAIMS.items()
+                                 if all(hasattr(part.hook, "table_groups") for part in parts)}
 
 
 def test_parallel_chunks_match_serial(monkeypatch):
@@ -305,12 +313,11 @@ def test_pair_claims_match_serial_across_workers(monkeypatch):
 
 
 def test_failing_report_carries_witness(monkeypatch):
-    import coxdrops.verify as v
-
     def broken_pred(w):
         return f"{w}: say the shape changed"
 
-    monkeypatch.setattr(v, "_shape_witness", broken_pred)
+    (part,) = CLAIMS["shape"]
+    monkeypatch.setitem(CLAIMS, "shape", (dataclasses.replace(part, hook=broken_pred),))
     (report,) = run_claim("shape", ns=(3,), threads=1)
     assert report.status == "fail"
     # the witness is the first violation in rank order
@@ -351,14 +358,16 @@ def test_type_b_at_n8_passes():
 
 def test_each_part_sweeps_its_own_group(monkeypatch):
     # every sweep a part makes is of its declared group, at its n, with the
-    # run's thread count, and with one hook at all its sizes; every key hook
-    # that verify defines is swept by some part.  The recorder sweeps
+    # run's thread count, and of the hook its registry entry names; every
+    # key hook that verify defines is some part's hook.  The recorder sweeps
     # serially whatever it is passed
     import inspect
 
     import coxdrops.verify as v
+    defined = {f for f in vars(v).values() if inspect.isfunction(f)
+               and f.__module__ == v.__name__ and "_key" in f.__name__}
+    assert defined - {part.hook for parts in CLAIMS.values() for part in parts} == set()
     calls = []
-    hooks: dict[tuple[str, str], set] = {}
 
     def recorder(kind, n, hook, threads):
         calls.append((kind, n, threads, hook))
@@ -369,16 +378,13 @@ def test_each_part_sweeps_its_own_group(monkeypatch):
     reports = 0
     for name, ns in runs:
         for report in run_claim(name, ns=ns, threads=3):
+            (part,) = [p for p in CLAIMS[name] if p.group == report.group]
             assert report.ok
             assert calls and {c[:3] for c in calls} == {(report.group, report.n, 3)}
-            hooks.setdefault((name, report.group), set()).update(c[3] for c in calls)
+            assert {c[3] for c in calls} == {part.hook}
             calls.clear()
             reports += 1
     assert reports == 104
-    assert {part: len(h) for part, h in hooks.items() if len(h) != 1} == {}
-    defined = {f for f in vars(v).values() if inspect.isfunction(f)
-               and f.__module__ == v.__name__ and "_key" in f.__name__}
-    assert defined - set().union(*hooks.values()) == set()
 
 
 def test_cfrac_reports_at_the_ends_of_its_range():
@@ -587,6 +593,8 @@ def test_weights_counts_s8_shapes_by_tables(monkeypatch):
     # 8! = 40,320; an element-wise shape sweep fails here
     import coxdrops.verify as v
     calls = _count_calls(monkeypatch, v, "_shape_key")
+    (part,) = CLAIMS["weights"]
+    monkeypatch.setitem(CLAIMS, "weights", (dataclasses.replace(part, hook=v._shape_key),))
     (report,) = run_claim("weights", ns=(8,), threads=1)
     assert report.ok
     assert len(calls) == 3920
