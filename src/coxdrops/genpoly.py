@@ -59,10 +59,6 @@ class MultiPoly:
         return cls({_ZERO: 1})
 
     @classmethod
-    def const(cls, c: int) -> "MultiPoly":
-        return cls({_ZERO: c})
-
-    @classmethod
     def term(cls, coeff: int, t: int = 0, p: int = 0, q: int = 0, x: int = 0) -> "MultiPoly":
         return cls({(t, p, q, x): coeff})
 

@@ -421,7 +421,7 @@ def sweep(kind: str, n: int, hook: Callable[[Window], Hashable],
 
     A hook marked with :func:`block_additive` for this group is counted a
     block at a time, walking the group by context: the unused values of a
-    block's last positions and, in A_n and D_n, the parity they must have.
+    block's last positions and, in D_n, the parity they must have.
     The first block of a context builds its table of key differences, one
     row per first suffix value.  Every other block is one hook call on the
     first row; cut again before the prefix's last entry, its key on another
@@ -430,7 +430,7 @@ def sweep(kind: str, n: int, hook: Callable[[Window], Hashable],
     split such a hook by context, one share each, so each table is built
     once.  Any other hook, and a marked hook over a group its mark leaves
     out, is called on every element, and workers split it into 4K rank
-    ranges (at most 128); only then is the order of the keys the rank order
+    ranges; only then is the order of the keys the rank order
     of the first element giving each, and so only such hooks return
     witnesses.
 
@@ -442,7 +442,7 @@ def sweep(kind: str, n: int, hook: Callable[[Window], Hashable],
     workers = pool_size(threads, usable_cpus())
     if workers == 1 or total < _PARALLEL_CUTOFF or not hasattr(os, "fork"):
         return count(kind, n, hook, 0, 1)
-    pieces = min(workers * 4, 128) if count is _count else workers
+    pieces = workers * 4 if count is _count else workers
     counter: Counter = Counter()
     for part in _fan_out(functools.partial(count, kind, n, hook), pieces, workers):
         counter.update(part)
@@ -533,14 +533,14 @@ def _count(kind: str, n: int, hook: Callable[[Window], Hashable],
 # ---------------------------------------------------------------------------
 
 def block_additive(hook: Callable[[Window], Hashable] | None = None, *,
-                   groups: str = "SABD"):
+                   groups: str = "SBD"):
     """
     Mark a sweep hook as additive in the given groups, so that :func:`sweep`
     counts it over them a block at a time: the distinct keys that a
     context's blocks give at one first suffix value are each shifted once by
     that value's key differences.  Over any other group the hook is counted
-    element-wise.  Use it bare, ``@block_additive``, for all four groups, or
-    as ``@block_additive(groups="SA")``.
+    element-wise.  Use it bare, ``@block_additive``, for S, B and D, or as
+    ``@block_additive(groups="S")``.  A_n is always counted element-wise.
 
     The hook must return a signed monomial key (a, b, c, d, s): four
     exponents in [0, 2**15) and a parity bit.  Take two windows of a marked
@@ -558,14 +558,13 @@ def block_additive(hook: Callable[[Window], Hashable] | None = None, *,
     descent from u to v adds u - v and the number of values placed before
     v strictly between v and u.  So is the Motzkin shape's step at a suffix
     position i, which reads whether value i is an excedance value, and so
-    whether it sits in the prefix.  In S_n and A_n a context fixes the
-    prefix's set of values, but in B_n and D_n only their magnitudes: the
-    signs move prefix values in and out of such an interval, and in and
-    out of the excedance-value set, so the mad and shape hooks are marked
-    for S and A alone.
+    whether it sits in the prefix.  In S_n a context fixes the prefix's set
+    of values, but in B_n and D_n only their magnitudes: the signs move
+    prefix values in and out of such an interval, and in and out of the
+    excedance-value set, so the mad and shape hooks are marked for S alone.
     """
-    if not groups or set(groups) - set(GROUPS):
-        raise ValueError(f"block_additive groups {groups!r}: expected letters of {GROUPS}")
+    if not groups or set(groups) - set("SBD"):
+        raise ValueError(f"block_additive groups {groups!r}: expected letters of SBD")
 
     def mark(h: Callable[[Window], Hashable]) -> Callable[[Window], Hashable]:
         h.table_groups = tuple(groups)
@@ -604,31 +603,28 @@ def _unpack(k: int) -> tuple[int, ...]:
 
 def _count_blocks(kind: str, n: int, hook: Callable[[Window], Hashable],
                   share: int, shares: int) -> Counter:
-    # The table path of sweep, over the contexts whose index is share mod
-    # shares.  A context is m unused values and, in A_n and D_n, the parity
-    # the suffix must have; every prefix over the other values that leaves
-    # that parity takes the same suffixes.  The first prefix's block builds
-    # one row per first suffix value (see _delta_table).  Every other prefix
-    # costs one call on the first row, and each other row one call per last
-    # entry of a prefix (see sweep); each distinct key a row gathers is
-    # shifted by each of its differences once.  Groups too small for a
-    # suffix of two after a prefix of three go element-wise.
+    # The table path of sweep over S_n, B_n or D_n, over the contexts whose
+    # index is share mod shares.  A context is m unused values and, in D_n,
+    # the parity the suffix must have; every prefix over the other values
+    # that leaves that parity takes the same suffixes.  The first prefix's
+    # block builds one row per first suffix value (see _delta_table).  Every
+    # other prefix costs one call on the first row, and each other row one
+    # call per last entry of a prefix (see sweep); each distinct key a row
+    # gathers is shifted by each of its differences once.  Groups too small
+    # for a suffix of two after a prefix of three go element-wise.
     m = min(_TABLE_SUFFIX, n - 3)
     if m < 2:
         return _count(kind, n, hook, share, shares)
     signed = kind in ("B", "D")
     outer, inner = _suffix_masks(kind, n - m), _suffix_masks(kind, m)
     contexts = itertools.product(itertools.combinations(range(1, n + 1), m),
-                                 (0, 1) if kind in ("A", "D") else (0,))
+                                 (0, 1) if kind == "D" else (0,))
     packed: dict[int, int] = {}
     get = packed.get
     for rem, parity in itertools.islice(contexts, share, None, shares):
         used = [v for v in range(1, n + 1) if v not in rem]
-        # the A_n parity is the prefix's digit sum: inv(prefix) plus the
-        # pairs of a used value above an unused one, whatever their order
-        cross = sum(v > r for v in used for r in rem) if kind == "A" else 0
         first, *prefixes = itertools.compress(itertools.permutations(
-            _choices(used, signed), n - m), outer[(parity + cross) & 1])
+            _choices(used, signed), n - m), outer[parity])
         rows = _delta_table(hook, first, itertools.compress(
             itertools.permutations(_choices(list(rem), signed), m), inner[parity]))
         (ref, key0, _), *others = rows

@@ -116,13 +116,13 @@ def _zdrops_key(s):
     return negatives, 0, (drops + min(s[0], 0)) if s else 0, 0, (length - negatives) % 2
 
 
-@pc.block_additive(groups="SA")
+@pc.block_additive(groups="S")
 def _mad_key(w):
     # (inv, drops, depth, mad) as a monomial, so S_n is counted by tables
     return pc._scan(w)[:3] + (gp.mad(w), 0)
 
 
-@pc.block_additive(groups="SA")
+@pc.block_additive(groups="S")
 def _shape_key(w):
     # (inv, depth) and the Motzkin shape's N and S masks (see
     # laguerre._shape) as a monomial, so S_n is counted by tables; a mask of
@@ -152,25 +152,20 @@ def _fz_key(w):
 
 # The involution hooks apply the swap found by _toggle_a/_toggle_b directly:
 # stream elements are valid by construction, so nothing is re-validated.
-#
-# Sign reversal and the kept statistics and shape belong to a 2-cycle
-# {w, y}: each is compared once, at its member first in rank order (tuple
-# order, signed windows too), and skipped at the later one once the pair is
-# shown mutual.  The earlier partner then fails any such comparison the later
-# one would, so the first witness, merged in share order, is unchanged.
 
 def _shape_witness(w):
     hit = _toggle_a(w)
-    if hit is None:
+    if hit is None or _shape(w) == _shape(_swap_positions(w, hit[1], hit[2])):
         return None
-    y = _swap_positions(w, hit[1], hit[2])
-    back = _toggle_a(y)
-    if y < w and back is not None and _swap_positions(y, back[1], back[2]) == w:
-        return None                            # y compared them
-    if _shape(w) != _shape(y):
-        return f"{format_window(w)}: shape changes under the involution"
-    return None
+    return f"{format_window(w)}: shape changes under the involution"
 
+
+# In _invol_key_s and _invol_key_b, sign reversal and the kept statistics
+# belong to a 2-cycle {w, y}: each is compared once, at its member first in
+# rank order (tuple order, signed windows too), and skipped at the later one
+# once the pair is shown mutual, which saves two scans per pair.  The earlier
+# partner then fails any such comparison the later one would, so the first
+# witness, merged in share order, is unchanged.
 
 def _invol_key_s(w):
     # (witness or None, whether w is fixed)

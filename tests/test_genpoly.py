@@ -45,7 +45,7 @@ def test_pretty_and_json():
 
 def test_substitute():
     f = MultiPoly.term(2, t=1, q=2) + MultiPoly.term(1, x=1)
-    assert f.substitute(t=1, q=1) == MultiPoly.const(2) + MultiPoly.term(1, x=1)
+    assert f.substitute(t=1, q=1) == MultiPoly.term(2) + MultiPoly.term(1, x=1)
     assert f.substitute(q=0) == MultiPoly.term(1, x=1)
     with pytest.raises(ValueError):
         f.substitute(y=1)

@@ -21,10 +21,10 @@ from coxdrops import genpoly, verify
 from coxdrops import perm_core as pc
 from coxdrops.laguerre import motzkin_shape
 
-GROUPS = ([("S", n) for n in range(1, 9)] + [("A", n) for n in range(1, 9)]
-          + [("B", n) for n in range(1, 7)] + [("D", n) for n in range(2, 7)])
+GROUPS = ([("S", n) for n in range(1, 9)] + [("B", n) for n in range(1, 7)]
+          + [("D", n) for n in range(2, 7)])
 # groups of many table blocks each
-RAGGED = (("S", 7), ("A", 7), ("B", 5), ("D", 6))
+RAGGED = (("S", 7), ("B", 5), ("D", 6))
 
 MARKED = {f.__name__: f for f in vars(verify).values()
           if getattr(f, "table_groups", None)}
@@ -48,8 +48,8 @@ DEFINITIONS = {
     "_shape_key": lambda w: (pc.inv(w), pc.depth(w), steps_mask(motzkin_shape(w), "N"),
                              steps_mask(motzkin_shape(w), "S"), 0),
 }
-DEFINED_ON = ([("S", n) for n in range(1, 8)] + [("A", n) for n in range(1, 8)]
-              + [("B", n) for n in range(1, 6)] + [("D", n) for n in range(2, 6)])
+DEFINED_ON = ([("S", n) for n in range(1, 8)] + [("B", n) for n in range(1, 6)]
+              + [("D", n) for n in range(2, 6)])
 
 
 def marked(hook, groups):
@@ -81,11 +81,12 @@ def test_the_additive_hooks_are_marked():
     # mad's embracing counts and the shape's excedance values read the
     # prefix's set only when it is unsigned
     assert {name: "".join(f.table_groups) for name, f in MARKED.items()
-            if f.table_groups != pc.GROUPS} == {"_mad_key": "SA", "_shape_key": "SA"}
+            if f.table_groups != ("S", "B", "D")} == {"_mad_key": "S", "_shape_key": "S"}
 
 
 def test_a_mark_names_known_groups():
-    for groups in ("", "SX", "C"):
+    # A_n is always counted element-wise, so no mark may name it
+    for groups in ("", "SX", "C", "A", "SA"):
         with pytest.raises(ValueError, match="block_additive groups"):
             pc.block_additive(groups=groups)
 
@@ -185,8 +186,8 @@ def test_hook_calls_at_the_benchmark_sizes(kind, n, hook, calls):
         assert seen["hook"] == calls, shares
 
 
-@pytest.mark.parametrize("kind, hook", [("S", verify.drops_key_s), ("A", verify.drops_key_s),
-                                        ("B", verify.drops_key_b), ("D", verify.drops_key_d)])
+@pytest.mark.parametrize("kind, hook", [("S", verify.drops_key_s), ("B", verify.drops_key_b),
+                                        ("D", verify.drops_key_d)])
 def test_tables_start_at_n_5(kind, hook, monkeypatch):
     # a table needs a suffix of two after a prefix of three, so n = 4 is
     # counted one call per element and n = 5 is the first group of tables
@@ -206,17 +207,19 @@ def test_the_mad_key_is_counted_by_tables_on_s8():
     assert calls["hook"] == 3920
 
 
-@pytest.mark.parametrize("kind", ["B", "D"])
+@pytest.mark.parametrize("kind", ["A", "B", "D"])
 def test_a_mark_gates_the_table_path_by_group(kind):
-    # the mad and shape keys are marked for S and A alone: over B_5 and D_5
-    # sweep counts them element-wise, one call per element, where the
-    # tables would be wrong
-    for key in (verify._mad_key, verify._shape_key):
+    # no mark names A, and the mad and shape keys are marked for S alone:
+    # over A_5 (60 elements), B_5 and D_5 sweep counts them element-wise,
+    # one call per element, where the mad and shape tables would be wrong
+    keys = (verify._mad_key, verify._shape_key)
+    for key in keys + ((verify.drops_key_s,) if kind == "A" else ()):
         hook, calls = counted_hook(key)
         want = pc._count(kind, 5, key, 0, 1)
         assert pc.sweep(kind, 5, hook) == want
         assert calls["hook"] == pc.group_order(kind, 5)
-        assert pc._count_blocks(kind, 5, key, 0, 1) != want, key.__name__
+        if kind != "A":
+            assert pc._count_blocks(kind, 5, key, 0, 1) != want, key.__name__
 
 
 @pytest.mark.slow
@@ -250,8 +253,8 @@ def test_a_wrong_mark_is_caught():
 
 
 def contexts(kind, n):
-    # unused sets of a table block, times the two suffix parities in A and D
-    return math.comb(n, min(pc._TABLE_SUFFIX, n - 3)) * (2 if kind in "AD" else 1)
+    # unused sets of a table block, times the two suffix parities in D
+    return math.comb(n, min(pc._TABLE_SUFFIX, n - 3)) * (2 if kind == "D" else 1)
 
 
 @pytest.mark.parametrize("name", sorted(MARKED))

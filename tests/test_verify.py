@@ -268,6 +268,13 @@ def test_table_claims_are_the_block_additive_ones():
                                  if all(hasattr(part.hook, "table_groups") for part in parts)}
 
 
+def test_every_marked_part_sweeps_a_group_its_mark_names():
+    # a mark that leaves out its part's group would send the part's sweep
+    # element-wise without a word
+    assert [part.name for parts in CLAIMS.values() for part in parts
+            if part.group not in getattr(part.hook, "table_groups", part.group)] == []
+
+
 def test_parallel_chunks_match_serial(monkeypatch):
     import coxdrops.perm_core as pc
     serial = {name: list(run_claim(name, ns=(n,), threads=1))
@@ -581,11 +588,15 @@ def test_invol_b_scans_each_element_once(monkeypatch, n):
 
 
 @pytest.mark.parametrize("n", range(1, 8))
-def test_shape_reads_each_non_fixed_shape_once(monkeypatch, n):
+def test_shape_toggles_each_element_once(monkeypatch, n):
+    # a moved window's shape is compared with its image's at each member of
+    # the pair; a fixed point reads no shape
     import coxdrops.verify as v
-    calls = _count_calls(monkeypatch, v, "_shape")
+    toggles = _count_calls(monkeypatch, v, "_toggle_a")
+    shapes = _count_calls(monkeypatch, v, "_shape")
     sweep("S", n, v._shape_witness)
-    assert len(calls) == math.factorial(n) - 2 ** (n - 1)
+    assert len(toggles) == math.factorial(n)
+    assert len(shapes) == 2 * (math.factorial(n) - 2 ** (n - 1))
 
 
 def test_weights_counts_s8_shapes_by_tables(monkeypatch):
@@ -646,8 +657,10 @@ def test_fz_reports_a_history_that_is_not_restricted(monkeypatch):
     import coxdrops.verify as v
     real = v._round_trip
     monkeypatch.setattr(v, "_round_trip", lambda w: real((1, 1) if w == (2, 1) else w))
-    (report,) = run_claim("fz", ns=(2,), threads=1)
-    assert report.witness == "2,1: image is not a restricted history"
+    for threads in (1, 2):
+        _chunked(monkeypatch, threads)
+        (report,) = run_claim("fz", ns=(2,), threads=threads)
+        assert report.witness == "2,1: image is not a restricted history", threads
 
 
 @pytest.mark.parametrize("victim, target", [((1, 3, 2), (3, 2, 1)),
@@ -657,9 +670,19 @@ def test_fz_reports_two_windows_sent_to_one_history(monkeypatch, victim, target)
     import coxdrops.verify as v
     real = v._round_trip
     monkeypatch.setattr(v, "_round_trip", lambda w: real(target if w == victim else w))
-    (report,) = run_claim("fz", ns=(3,), threads=1)
-    assert report.status == "fail"
-    assert report.witness == f"{format_window(victim)}: history does not decode to it"
+    for threads in (1, 2):
+        _chunked(monkeypatch, threads)
+        (report,) = run_claim("fz", ns=(3,), threads=threads)
+        assert report.status == "fail"
+        assert report.witness == f"{format_window(victim)}: history does not decode to it"
+
+
+def test_fz_s7_report_is_the_same_at_one_and_two_workers(monkeypatch):
+    strip = lambda rs: [dataclasses.replace(r, elapsed_ms=0) for r in rs]
+    serial = strip(run_claim("fz", ns=(7,), threads=1))
+    _chunked(monkeypatch, 2)
+    assert strip(run_claim("fz", ns=(7,), threads=2)) == serial
+    assert serial[0].ok
 
 
 def test_fz_sweep_holds_one_key():
