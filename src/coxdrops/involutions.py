@@ -130,6 +130,7 @@ def involution_b(s: Sequence[int]) -> InvolutionReport:
     """
     The type-B sign-reversing involution: toggle the leftmost near-maximal
     factor between its two forms, else fall back to the type-A style move.
+    Leftmost in the word means at the rightmost near-maximal position i >= 1.
 
     >>> involution_b((3, 1, -5, 2, -4)).output
     (3, 1, -4, 2, -5)

@@ -109,8 +109,13 @@ def des(p: Sequence[int]) -> int:
 
 def drops(p: Sequence[int]) -> int:
     """Sum of descent gaps p_i - p_{i+1} over the descent set."""
-    # the positive gaps are half of |gaps| plus gaps, which telescope
-    return (sum(map(abs, map(operator.sub, p, p[1:]))) + p[0] - p[-1]) >> 1 if p else 0
+    total = 0
+    prev = p[0] if p else 0
+    for v in p:
+        if prev > v:
+            total += prev - v
+        prev = v
+    return total
 
 
 def exc(p: Sequence[int]) -> int:
@@ -179,28 +184,23 @@ def inv_b(s: Sequence[int]) -> int:
 
 def drops_b(s: Sequence[int]) -> int:
     """Descent-gap sum of the window prefixed with a virtual 0."""
-    total = 0
-    prev = 0
-    for v in s:
-        if prev > v:
-            total += prev - v
-        prev = v
-    return total
+    return drops((0, *s))
 
 
-def _scan_b(s: Sequence[int]) -> tuple[int, int]:
-    # (inv_b, drops_b) in one left-to-right walk, as _scan does it
+def _scan_b(s: Sequence[int]) -> tuple[int, int, int]:
+    # (inv_b, drops_b, #negatives) in one left-to-right walk, as _scan does it
     n = len(s)
-    seen = length = gaps = prev = 0
+    seen = length = gaps = negatives = prev = 0
     for v in s:
         length += (seen >> v + n).bit_count()
         seen |= 1 << v + n
         if v < 0:
             length -= v
+            negatives += 1
         if prev > v:
             gaps += prev - v
         prev = v
-    return length, gaps
+    return length, gaps, negatives
 
 
 def inv_d(s: Sequence[int]) -> int:
@@ -218,13 +218,7 @@ def drops_d(s: Sequence[int]) -> int:
     """
     if len(s) < 2:
         raise ValueError("drops_d needs n >= 2 (the prefix entry is -s_2)")
-    total = 0
-    prev = -s[1]
-    for v in s:
-        if prev > v:
-            total += prev - v
-        prev = v
-    return total
+    return drops((-s[1], *s))
 
 
 def zdrops(s: Sequence[int]) -> int:

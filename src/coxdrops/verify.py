@@ -80,7 +80,7 @@ def drops_key_s(w: Sequence[int]) -> tuple[int, ...]:
 @pc.block_additive
 def drops_key_b(s: Sequence[int]) -> tuple[int, ...]:
     """(-1)^inv_b q^drops_b."""
-    length, drops = pc._scan_b(s)
+    length, drops, _ = pc._scan_b(s)
     return 0, 0, drops, 0, length % 2
 
 
@@ -90,9 +90,8 @@ def drops_key_d(s: Sequence[int]) -> tuple[int, ...]:
     if len(s) < 2:
         raise ValueError("drops_d needs n >= 2 (the prefix entry is -s_2)")
     # drops_b with the virtual entry -s_2 for 0; inv_d is inv_b - #negatives
-    length, drops = pc._scan_b(s)
-    return (0, 0, drops + max(-s[1] - s[0], 0) - max(-s[0], 0), 0,
-            (length + sum(map((0).__gt__, s))) % 2)
+    length, drops, negatives = pc._scan_b(s)
+    return 0, 0, drops + max(-s[1] - s[0], 0) - max(-s[0], 0), 0, (length + negatives) % 2
 
 
 @pc.block_additive
@@ -112,7 +111,7 @@ def _bivariate_key(w):
 def _zdrops_key(s):
     # (-1)^inv_d t^#negatives q^zdrops over all of B_n, zdrops being drops_b
     # less the virtual gap -s_1; an even count of negatives puts s in D_n
-    (length, drops), negatives = pc._scan_b(s), sum(map((0).__gt__, s))
+    length, drops, negatives = pc._scan_b(s)
     return negatives, 0, (drops + min(s[0], 0)) if s else 0, 0, (length - negatives) % 2
 
 
@@ -196,7 +195,8 @@ def _invol_key_b(s):
     # (witness or None, whether s is fixed)
     hit = _toggle_b(s)
     if hit is None:
-        if len(set(pc._scan_b(s))) > 1:
+        length, drops, _ = pc._scan_b(s)
+        if length != drops:
             return f"{format_window(s)}: fixed point without inv_b = drops_b", True
         return None, True
     y = _swap_magnitudes(s, hit[1], hit[2])
@@ -205,7 +205,7 @@ def _invol_key_b(s):
     if (y if back is None else _swap_magnitudes(y, back[1], back[2])) != s:
         fault = "map is not involutive"
     elif s <= y:                               # else y compared the pair
-        (ls, ds), (ly, dy) = pc._scan_b(s), pc._scan_b(y)
+        (ls, ds, _), (ly, dy, _) = pc._scan_b(s), pc._scan_b(y)
         if (ls - ly) % 2 == 0:
             fault = "sign not reversed"
         elif ds != dy:

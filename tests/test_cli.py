@@ -1,5 +1,6 @@
 import argparse
 import csv
+import doctest
 import hashlib
 import io
 import json
@@ -214,6 +215,17 @@ def test_readme_cli_commands_parse():
     parser = cli.build_parser()
     for argv in commands:
         assert parser.parse_args(argv).func, argv
+
+
+def test_readme_library_example_runs():
+    # `python -m doctest README.md` would read the closing fence as output
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("\n## Library example\n", 1)[1].split("```python\n", 1)[1]
+    block = block.split("```", 1)[0]
+    test = doctest.DocTestParser().get_doctest(block, {}, "README", "README.md", 0)
+    runner = doctest.DocTestRunner()
+    runner.run(test)
+    assert runner.summarize(verbose=False) == (0, 7)
 
 
 def test_poly_drops_mad_at_n_zero(capsys):

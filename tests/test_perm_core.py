@@ -186,10 +186,10 @@ def test_scan_equals_the_definitions_on_s0_to_s8_and_b0_to_b6(groups):
 def test_scan_b_equals_the_definitions_on_b0_to_b7(groups):
     for n in range(7):
         for s in groups["B"](n):
-            assert pc._scan_b(s) == (pc.inv_b(s), pc.drops_b(s)), s
+            assert pc._scan_b(s) == (pc.inv_b(s), pc.drops_b(s), len(pc.negs(s))), s
     # B_7 streamed, not held
     for s in pc.iter_group("B", 7):
-        assert pc._scan_b(s) == (pc.inv_b(s), pc.drops_b(s)), s
+        assert pc._scan_b(s) == (pc.inv_b(s), pc.drops_b(s), len(pc.negs(s))), s
 
 
 @given(st.integers(9, 40).flatmap(lambda n: st.tuples(
@@ -200,7 +200,7 @@ def test_kernels_equal_the_definitions_at_n9_to_n40(case):
     s = tuple(-v if neg else v for v, neg in zip(perm, negated))
     assert pc._scan(w) == _six(w)
     assert pc._scan(s) == _six(s)
-    assert pc._scan_b(s) == (pc.inv_b(s), pc.drops_b(s))
+    assert pc._scan_b(s) == (pc.inv_b(s), pc.drops_b(s), len(pc.negs(s)))
 
 
 # ---------------------------------------------------------------------------
