@@ -273,13 +273,13 @@ def _cmd_verify(args) -> int:
     ok = True                                  # each report is written as its part ends
     with _sink(args.out) as fh:
         if args.format != "json":
-            print(f"{'claim':<10} {'group':<5} {'n':>2} {'status':<6} "
+            print(f"{'claim':<10} {'group':<5} {'n':>2} {'status':<6} {'route':<8} "
                   f"{'count':>8} {'ms':>9}  witness", file=fh, flush=True)
         for name in names:
             for r in run_claim(name, ns, threads, args.max_n):
                 ok = ok and r.ok
                 print(r.to_json() if args.format == "json" else
-                      f"{r.claim:<10} {r.group:<5} {r.n:>2} {r.status:<6} "
+                      f"{r.claim:<10} {r.group:<5} {r.n:>2} {r.status:<6} {r.route:<8} "
                       f"{r.count:>8} {r.elapsed_ms:>9.1f}  {r.witness or ''}",
                       file=fh, flush=True)
     return 0 if ok else 1

@@ -25,6 +25,16 @@ is always near-maximal.
 
 Both maps preserve a drop statistic and flip the sign, so all non-fixed
 elements cancel out of signed enumerators.
+
+Deciding prefixes (type A).  The type-A map reads p only up to p_{t+1} and
+swaps two entries before it.  Call p_1..p_{t+1} the deciding prefix: each
+entry before p_{t+1} is one of the two largest so far, and p_{t+1} is below
+the second largest.  The image, and how inv, drops, depth, iexc and the
+Motzkin shape differ between p and it, depend on that prefix alone (the
+README's verify section says why), so S_n splits into classes of the
+(n - t - 1)! windows that share a deciding prefix.  A window with no deciding entry is a fixed
+point and a class of its own; there are 2^(n-1) of them.  toggle_classes
+walks these classes in rank order.
 """
 
 from __future__ import annotations
@@ -73,6 +83,44 @@ def _toggle_a(p: Window) -> tuple[int, int, int] | None:
         elif v > a:
             a, ia = v, t
     return None
+
+
+def toggle_classes(n: int) -> Iterator[tuple[Window, int]]:
+    """
+    S_n as the classes of the deciding-prefix rule in the module docstring,
+    in rank order: each class comes as its first element in rank order, the
+    ascending completion of its prefix, and the number k of trailing
+    entries its k! members permute (0 for a fixed point).  A depth-first
+    walk tries values in ascending order, keeps a prefix open while each
+    entry is one of the two largest so far, and closes it at the first
+    entry below the second largest.  It does not consult _toggle_a, so a
+    toggle that disagrees with the rule shows up in a check of its classes.
+
+    >>> list(toggle_classes(3))
+    [((1, 2, 3), 0), ((1, 3, 2), 0), ((2, 1, 3), 0), ((2, 3, 1), 0), ((3, 1, 2), 0), ((3, 2, 1), 0)]
+    >>> next(c for c in toggle_classes(5) if c[1] > 1)     # 2,3,1,4,5 and 2,3,1,5,4
+    ((2, 3, 1, 4, 5), 2)
+    """
+    check_group("S", n)
+    window = [0] * n
+    unused = list(range(1, n + 1))
+
+    def walk(t: int, a: int, b: int) -> Iterator[tuple[Window, int]]:
+        # window[:t] is open and a < b are its two largest entries (0 if
+        # fewer); unused holds the values left, in ascending order
+        if t == n:
+            yield tuple(window), 0
+            return
+        for i, v in enumerate(unused):
+            window[t] = v
+            if v < a:
+                yield tuple(window[:t + 1]) + tuple(unused[:i] + unused[i + 1:]), n - t - 1
+                continue
+            del unused[i]
+            yield from walk(t + 1, *((b, v) if v > b else (v, b)))
+            unused.insert(i, v)
+
+    return walk(0, 0, 0)
 
 
 def involution_a(p: Sequence[int]) -> InvolutionReport:

@@ -2,12 +2,14 @@
 Batch verification suites: one claim per enumerative identity, each checked
 by exhaustive computation over the relevant group.
 
-Each claim part in CLAIMS names its group, sizes, hook and check.  run_claim
-sweeps the hook over the group through perm_core.sweep and hands the merged
-counter to the check.  sweep splits heavy sweeps over forked worker
-processes and the calling one, block-additive hooks by table context and
-element-wise hooks by rank range, and merges the partial counters in order,
-so the report content never depends on the worker count.
+Each claim part in CLAIMS names its group, sizes, hook, route and check.
+run_claim counts the hook over the group by the part's route and hands the
+counter to the check.  The route "sweep" is perm_core.sweep: it splits
+heavy sweeps over forked worker processes and the calling one,
+block-additive hooks by table context and element-wise hooks by rank range,
+and merges the partial counters in order, so the report content never
+depends on the worker count.  The route "quotient" is the prefix quotient,
+quotient below: one process counts S_n a deciding-prefix class at a time.
 """
 
 from __future__ import annotations
@@ -18,16 +20,16 @@ import time
 from collections import Counter
 from dataclasses import asdict, dataclass
 from fractions import Fraction
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Hashable, Iterator, Sequence
 
 from . import genpoly as gp
 from . import perm_core as pc
 from .genpoly import MultiPoly, jfraction_convergent
 from .involutions import (_swap_magnitudes, _swap_positions, _toggle_a,
-                          _toggle_b, fixed_points)
+                          _toggle_b, fixed_points, toggle_classes)
 from .laguerre import (_path_key, _round_trip, _shape, max_height,
                        motzkin_paths, path_weight)
-from .perm_core import format_window, group_order, sweep
+from .perm_core import Window, format_window, group_order, sweep
 
 
 @dataclass
@@ -38,7 +40,8 @@ class VerificationReport:
     status: str                  # "pass" or "fail"
     witness: str | None
     elapsed_ms: float
-    count: int
+    count: int                   # the group order, whatever the route visits
+    route: str                   # the function that counted the hook
 
     @property
     def ok(self) -> bool:
@@ -52,12 +55,13 @@ class VerificationReport:
 # per-element hooks
 # ---------------------------------------------------------------------------
 #
-# Each claim sweeps its group with one hook (see perm_core.sweep).  A hook
-# that checks a property returns, in its key, None or a witness string for
-# an element that violates it; the first witness in the merged counter is
-# then the first violation in rank order.  Such hooks stay element-wise: a
-# hook marked block-additive returns a signed monomial, and its counter's
-# keys come in no set order.
+# Each claim part counts its group with one hook, by its route (see
+# perm_core.sweep and quotient below).  A hook that checks a property
+# returns, in its key, None or a witness string for an element that
+# violates it; the first witness in the merged counter is then the first
+# violation in rank order, or under the quotient the first failing class.
+# Such hooks stay element-wise: a hook marked block-additive returns a
+# signed monomial, and its counter's keys come in no set order.
 
 def _witness(keys) -> str | None:
     return next((k for k in keys if k is not None), None)
@@ -211,6 +215,47 @@ def _invol_key_b(s):
         elif ds != dy:
             fault = "drops_b not preserved"
     return fault and f"{format_window(s)}: {fault}", False
+
+
+# ---------------------------------------------------------------------------
+# the prefix quotient, the route beside perm_core.sweep
+# ---------------------------------------------------------------------------
+
+def quotient(kind: str, n: int, hook: Callable[[Window], Hashable],
+             threads: int = 1) -> Counter:
+    """
+    Count hook(w) over S_n a class of involutions.toggle_classes at a time:
+    the classes of windows that share a deciding prefix, on which the checks
+    of _toggle_a's image are decided.  The hook is called on each class's
+    first element, the ascending completion of its prefix, and its key is
+    counted once per member.  On a class of more than one member the hook
+    is also called on the descending completion, the class's last member,
+    to guard locality: if that key differs, the hook reads past the prefix,
+    and the class counts the first key for all its members but one and the
+    second key for that one, so the fault shows as a real element's witness.
+    Where the two keys agree on every class the Counter is the one sweep
+    returns, keys in the same order.  Classes come in rank order, so the
+    first witness is that of the first failing class.  The quotient counts
+    in one process whatever ``threads`` is.
+
+    >>> quotient("S", 5, _shape_witness)
+    Counter({None: 120})
+    """
+    if kind != "S":
+        raise ValueError(f"the prefix quotient covers S_n only, not {kind}_n")
+    counter: Counter = Counter()
+    for w, free in toggle_classes(n):
+        key = hook(w)
+        if free < 2:
+            counter[key] += 1
+            continue
+        last = hook(w[:n - free] + w[n - free:][::-1])
+        if last == key:
+            counter[key] += math.factorial(free)
+        else:
+            counter[key] += math.factorial(free) - 1
+            counter[last] += 1
+    return counter
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +428,10 @@ class ClaimDef:
     name: str
     group: str
     default_ns: tuple[int, ...]
-    hook: Callable               # swept over the group at each n
+    hook: Callable               # counted over the group at each n
     check: Callable              # (n, counter) -> witness or None
     description: str
+    route: str = "sweep"         # the verify function that counts the hook
 
 
 CLAIMS: dict[str, tuple[ClaimDef, ...]] = {
@@ -410,14 +456,15 @@ CLAIMS: dict[str, tuple[ClaimDef, ...]] = {
                 "path weights count shape preimages and per-path (depth, inv) "
                 "enumerators; height<=1 structure"),),
     "shape": (ClaimDef("shape", "S", tuple(range(1, 9)), _shape_witness, _run_shape,
-              "the type-A involution preserves the history shape"),),
+              "the type-A involution preserves the history shape", route="quotient"),),
     "moments": (ClaimDef("moments", "S", tuple(range(1, 9)), drops_key_s, _run_moments,
                 "exact drops mean and variance over S_n; A_n moments agree for n >= 4"),),
     "fz": (ClaimDef("fz", "S", tuple(range(1, 9)), _fz_key, _run_fz,
            "history encoding: a left inverse, |LH*_n| = n!, statistics carried"),),
     "invol": (
         ClaimDef("invol", "S", tuple(range(1, 9)), _invol_key_s, _run_invol_s,
-                 "type-A involution: involutive, sign-reversing, statistic-preserving"),
+                 "type-A involution: involutive, sign-reversing, statistic-preserving",
+                 route="quotient"),
         ClaimDef("invol", "B", tuple(range(1, 7)), _invol_key_b, _run_invol_b,
                  "type-B involution: involutive, sign-reversing, drops_b-preserving"),
     ),
@@ -445,12 +492,17 @@ def plan(names: list[str], ns: tuple[int, ...] | None = None,
 
 def run_claim(name: str, ns: tuple[int, ...] | None = None, threads: int = 1,
               max_n: int | None = None) -> Iterator[VerificationReport]:
-    """Run one claim, yielding a report per (group, n) of its :func:`plan`."""
+    """
+    Run one claim, yielding a report per (group, n) of its :func:`plan`.
+    Each part's route is looked up by name at the call, so it is whatever
+    this module binds to that name then.
+    """
     for part, n in plan([name], ns, max_n):
         t0 = time.perf_counter()
-        witness = part.check(n, sweep(part.group, n, part.hook, threads))
+        route = globals()[part.route]
+        witness = part.check(n, route(part.group, n, part.hook, threads))
         elapsed = (time.perf_counter() - t0) * 1000.0
         yield VerificationReport(
             claim=name, group=part.group, n=n,
             status="fail" if witness else "pass", witness=witness,
-            elapsed_ms=elapsed, count=group_order(part.group, n))
+            elapsed_ms=elapsed, count=group_order(part.group, n), route=part.route)

@@ -323,22 +323,22 @@ def test_verify_thread_count_does_not_change_reports(capsys):
 
 
 # `verify thm1.3 lemma7.2 --max-n 5` as it was printed when every report
-# was collected first, with the timings masked
+# was collected first, with the timings masked and the route added
 VERIFY_TABLE = """\
-claim      group  n status    count        ms  witness
-thm1.3     S      1 pass          1 MS  
-thm1.3     S      2 pass          2 MS  
-thm1.3     S      3 pass          6 MS  
-thm1.3     S      4 pass         24 MS  
-thm1.3     S      5 pass        120 MS  
-lemma7.2   B      2 pass          8 MS  
-lemma7.2   B      3 pass         48 MS  
-lemma7.2   B      4 pass        384 MS  
-lemma7.2   B      5 pass       3840 MS  
+claim      group  n status route       count        ms  witness
+thm1.3     S      1 pass   sweep           1 MS  
+thm1.3     S      2 pass   sweep           2 MS  
+thm1.3     S      3 pass   sweep           6 MS  
+thm1.3     S      4 pass   sweep          24 MS  
+thm1.3     S      5 pass   sweep         120 MS  
+lemma7.2   B      2 pass   sweep           8 MS  
+lemma7.2   B      3 pass   sweep          48 MS  
+lemma7.2   B      4 pass   sweep         384 MS  
+lemma7.2   B      5 pass   sweep        3840 MS  
 """
 VERIFY_JSON = "".join(
     f'{{"claim": "{c}", "group": "{g}", "n": {n}, "status": "pass", '
-    f'"witness": null, "elapsed_ms": MS, "count": {count}}}\n'
+    f'"witness": null, "elapsed_ms": MS, "count": {count}, "route": "sweep"}}\n'
     for c, g, n, count in [("thm1.3", "S", 1, 1), ("thm1.3", "S", 2, 2),
                            ("thm1.3", "S", 3, 6), ("thm1.3", "S", 4, 24),
                            ("thm1.3", "S", 5, 120), ("lemma7.2", "B", 2, 8),

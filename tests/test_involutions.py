@@ -1,5 +1,6 @@
 import itertools
 import json
+import math
 from collections import Counter
 
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import strategies as st
 
 from coxdrops import perm_core as pc
 from coxdrops.involutions import (InvolutionReport, _toggle_a, _toggle_b,
-                                  fixed_points, involution_a, involution_b)
+                                  fixed_points, involution_a, involution_b,
+                                  toggle_classes)
 from coxdrops.reduced_words import (canonical_word_a, canonical_word_b,
                                     evaluate_word, ird_and_ascents)
 from oracles import (in_type_d, near_maximal_u, near_maximal_v, stage_factor,
@@ -291,6 +293,35 @@ def test_fixed_points_at_n_zero_and_below():
     for kind in ("S", "B"):
         with pytest.raises(ValueError, match="^n must be >= 0$"):
             fixed_points(kind, -1)
+
+
+# ---------------------------------------------------------------------------
+# the deciding-prefix classes of the type-A map
+# ---------------------------------------------------------------------------
+
+DECIDING_PREFIXES = [0, 0, 0, 2, 16, 84, 368, 1462, 5472]
+
+
+@pytest.mark.parametrize("n", range(9))
+def test_toggle_classes_tile_s_n_in_rank_order(n):
+    # each class is the run of windows, in rank order, that share its first
+    # element's first n - k entries; the classes with a toggle are the
+    # deciding prefixes, the others the fixed points, one window each
+    classes = list(toggle_classes(n))
+    windows = list(pc.iter_group("S", n))
+    at = 0
+    for w, k in classes:
+        size = math.factorial(k)
+        assert windows[at] == w
+        assert {v[:n - k] for v in windows[at:at + size]} == {w[:n - k]}
+        at += size
+    assert at == len(windows) == math.factorial(n)
+    hits = [_toggle_a(w) for w, _ in classes]
+    assert sum(hit is not None for hit in hits) == DECIDING_PREFIXES[n]
+    fixed = [(w, k) for (w, k), hit in zip(classes, hits) if hit is None]
+    assert fixed == [(w, 0) for w in sorted(fixed_points("S", n))]
+    # the toggle decides at the last entry of each other class's prefix
+    assert all(hit[0] + 2 == n - k for (w, k), hit in zip(classes, hits) if hit)
 
 
 # ---------------------------------------------------------------------------

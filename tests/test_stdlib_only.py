@@ -39,17 +39,25 @@ def test_genpoly_sweeps_nothing():
 
 
 def test_verify_sweeps_only_in_run_claim():
-    # run_claim sweeps each claim part's declared group; the runners only
-    # check the counters that sweep hands them
+    # run_claim counts each claim part's declared group by the route the part
+    # names, looked up by that name; it makes the one route call in verify,
+    # nothing calls a route by name, and the runners only check the counters
+    # that the route hands them
+    from coxdrops.verify import CLAIMS
+    routes = {part.route for parts in CLAIMS.values() for part in parts}
+    assert routes == {"sweep", "quotient"}
     tree = ast.parse((SRC / "coxdrops" / "verify.py").read_text())
     run_claim = next(node for node in tree.body
                      if isinstance(node, ast.FunctionDef) and node.name == "run_claim")
 
-    def sweeps(root):
+    def calls(root, names):
         return [node for node in ast.walk(root) if isinstance(node, ast.Call)
-                and getattr(node.func, "attr", getattr(node.func, "id", None)) == "sweep"]
+                and getattr(node.func, "attr", getattr(node.func, "id", None)) in names]
 
-    assert len(sweeps(tree)) == 1 and sweeps(run_claim) == sweeps(tree)
+    assert calls(tree, routes) == []
+    (call,) = calls(tree, {"route"})
+    assert calls(run_claim, {"route"}) == [call]
+    assert "globals()[part.route]" in ast.unparse(run_claim)
 
 
 def test_sources_parse_as_python_3_10():

@@ -33,15 +33,19 @@ def test_registry_contents():
 
 
 def test_readme_claims_table_follows_the_registry():
-    # one row per claim in registry order; its hook and scale cells name
-    # every part's hook, and every part's group and largest default n
+    # one row per claim in registry order; its hook, route and scale cells
+    # name every part's hook and route, and every part's group and largest
+    # default n
     readme = (pathlib.Path(__file__).resolve().parents[1] / "README.md").read_text()
     rows = [re.split(r"(?<!\\)\|", line)[1:-1] for line in readme.splitlines()
             if line.startswith("| `")]
     assert [row[0].strip().strip("`") for row in rows] == list(CLAIMS)
     for row, parts in zip(rows, CLAIMS.values()):
         hooks = ", ".join(f"`{part.hook.__name__}`" for part in parts)
-        assert row[-2].strip() == hooks, row[0]
+        assert row[-3].strip() == hooks, row[0]
+        routes = (parts[0].route if len({part.route for part in parts}) == 1
+                  else ", ".join(f"{part.group} {part.route}" for part in parts))
+        assert row[-2].strip() == routes, row[0]
         scales = [(part.group, max(part.default_ns)) for part in parts]
         want = (f"{scales[0][0]}, n ≤ {scales[0][1]}" if len(scales) == 1
                 else ", ".join(f"{g} n ≤ {n}" for g, n in scales))
@@ -188,9 +192,12 @@ def test_report_shape():
     (report,) = run_claim("thm-typeD", ns=(2,), threads=1)
     assert report.ok and report.group == "D" and report.count == 4
     doc = json.loads(report.to_json())
-    assert set(doc) == {"claim", "group", "n", "status", "witness",
-                        "elapsed_ms", "count"}
+    assert list(doc) == ["claim", "group", "n", "status", "witness",
+                         "elapsed_ms", "count", "route"]
     assert doc["status"] == "pass" and doc["witness"] is None
+    assert doc["route"] == "sweep"
+    (report,) = run_claim("shape", ns=(5,), threads=1)
+    assert report.ok and report.route == "quotient" and report.count == 120
 
 
 def test_max_n_caps_at_part_defaults():
@@ -364,10 +371,11 @@ def test_type_b_at_n8_passes():
 
 
 def test_each_part_sweeps_its_own_group(monkeypatch):
-    # every sweep a part makes is of its declared group, at its n, with the
-    # run's thread count, and of the hook its registry entry names; every
-    # key hook that verify defines is some part's hook.  The recorder sweeps
-    # serially whatever it is passed
+    # every count a part makes is of its declared group, at its n, with the
+    # run's thread count, by the route and of the hook its registry entry
+    # names, and its report names that route; every key hook that verify
+    # defines is some part's hook.  The recorders count serially whatever
+    # they are passed
     import inspect
 
     import coxdrops.verify as v
@@ -376,22 +384,27 @@ def test_each_part_sweeps_its_own_group(monkeypatch):
     assert defined - {part.hook for parts in CLAIMS.values() for part in parts} == set()
     calls = []
 
-    def recorder(kind, n, hook, threads):
-        calls.append((kind, n, threads, hook))
-        return sweep(kind, n, hook)
+    def recorder(name, route):
+        def record(kind, n, hook, threads):
+            calls.append((kind, n, threads, name, hook))
+            return route(kind, n, hook, 1)
+        return record
 
-    monkeypatch.setattr(v, "sweep", recorder)
+    for name in ("sweep", "quotient"):
+        monkeypatch.setattr(v, name, recorder(name, getattr(v, name)))
     runs = [(name, None) for name in CLAIMS] + [("cor1.4", (9,))]
     reports = 0
     for name, ns in runs:
         for report in run_claim(name, ns=ns, threads=3):
             (part,) = [p for p in CLAIMS[name] if p.group == report.group]
-            assert report.ok
+            assert report.ok and report.route == part.route
             assert calls and {c[:3] for c in calls} == {(report.group, report.n, 3)}
-            assert {c[3] for c in calls} == {part.hook}
+            assert {c[3:] for c in calls} == {(part.route, part.hook)}
             calls.clear()
             reports += 1
     assert reports == 104
+    assert {(part.name, part.group) for parts in CLAIMS.values() for part in parts
+            if part.route == "quotient"} == {("invol", "S"), ("shape", "S")}
 
 
 def test_cfrac_reports_at_the_ends_of_its_range():
@@ -549,6 +562,60 @@ def test_a_mutual_pair_is_reported_at_its_earlier_member(monkeypatch, threads):
     assert reports["B"].witness == "-5,-3,-4,-2,-1: drops_b not preserved"
     (report,) = run_claim("shape", ns=(5,), threads=threads)
     assert report.witness == "1,2,3,4,5: shape changes under the involution"
+
+
+# ---------------------------------------------------------------------------
+# the prefix quotient against the element-wise sweep
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n", range(9))
+@pytest.mark.parametrize("hook", ["_invol_key_s", "_shape_witness"])
+def test_quotient_counts_what_the_sweep_counts(n, hook):
+    # same keys, same counts, keys in the same order
+    import coxdrops.verify as v
+    hook = getattr(v, hook)
+    swept, quotient = sweep("S", n, hook), v.quotient("S", n, hook)
+    assert list(quotient.items()) == list(swept.items())
+    assert quotient.total() == math.factorial(n)
+
+
+def test_quotient_covers_s_n_only():
+    import coxdrops.verify as v
+    with pytest.raises(ValueError, match="S_n only"):
+        v.quotient("B", 3, v._invol_key_b)
+
+
+def _reads_past_the_prefix(p):
+    # self-swaps, so the sign is kept, where the window ends in a descent
+    # that lies past its deciding prefix: ascending completions are spared
+    hit = _toggle_a(p)
+    if hit and hit[0] + 2 < len(p) - 1 and p[-2] > p[-1]:
+        return hit[0], hit[1], hit[1]
+    return hit
+
+
+@pytest.mark.parametrize("n", range(5, 9))
+def test_quotient_names_a_fault_past_the_deciding_prefix(monkeypatch, n):
+    # the descending completion meets the fault; the witness is the first
+    # the element-wise sweep finds, at one worker and two
+    import coxdrops.verify as v
+    monkeypatch.setattr(v, "_toggle_a", _reads_past_the_prefix)
+    # the type-S part alone: B_8 is 10.3M elements
+    monkeypatch.setitem(CLAIMS, "invol", CLAIMS["invol"][:1])
+    for threads in (1, 2):
+        _chunked(monkeypatch, threads)
+        swept = v._run_invol_s(n, sweep("S", n, v._invol_key_s, threads))
+        assert swept.endswith(": sign not reversed")
+        assert n != 5 or swept == "2,3,1,5,4: sign not reversed"
+        (report,) = run_claim("invol", ns=(n,), threads=threads)
+        assert report.route == "quotient" and report.witness == swept, threads
+
+
+def test_quotient_parts_pass_at_s9():
+    import coxdrops.verify as v
+    (report,) = run_claim("shape", ns=(9,), threads=1)
+    assert report.ok and report.route == "quotient" and report.count == 362_880
+    assert v._run_invol_s(9, v.quotient("S", 9, v._invol_key_s)) is None
 
 
 # ---------------------------------------------------------------------------
